@@ -8,6 +8,9 @@ stencil, grown a ring at a time where it holds fewer than
 ``JET_MIN_SAMPLES`` neighbours (boundary vertices see their rings from one
 side only); it converges faster pointwise and also yields values at boundary
 vertices, so verification-grade curvature laws are checked against it.
+Stencils are built for the requested vertices only, and all their fits are
+solved by one stacked SVD with the singular-value cutoff of
+``np.linalg.lstsq``.
 
 Sign convention: with K the cotangent area-gradient vector at a vertex
 (pointing outward on a convex surface regardless of winding) and N the
@@ -19,6 +22,7 @@ flips the sign.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .mesh import TriMesh
 
@@ -118,34 +122,36 @@ def vertex_mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return h, hvec
 
 
-def _k_ring_neighbors(mesh: TriMesh, rings: int) -> list[np.ndarray]:
+def _stencils(mesh: TriMesh, indices: np.ndarray, rings: int):
+    """Jet stencils of the vertices ``indices``, built for those rows only.
+
+    Row selections of the identity are widened by ``reach + reach @ adj``
+    ``rings`` times; rows holding fewer than ``JET_MIN_SAMPLES`` other
+    vertices widen again, by whole rings, until they do.  Returns the
+    positions in ``indices`` that got a stencil and the CSR rows of their
+    stencils, the vertex itself still included; a row whose connected
+    component runs out first is dropped.
+    """
     adj = mesh.vertex_adjacency
-    reach = adj.copy()
-    for _ in range(rings - 1):
+    rows = np.arange(len(indices))
+    reach = sparse.identity(mesh.n_vertices, format="csr")[indices]
+    for _ in range(rings):
         reach = reach + reach @ adj
-    reach = reach.tocsr()
-    out = []
-    for i in range(mesh.n_vertices):
-        nbr = reach.indices[reach.indptr[i]:reach.indptr[i + 1]]
-        out.append(nbr[nbr != i])
-    return out
-
-
-def _grow_stencil(adj, i: int, nbr: np.ndarray) -> np.ndarray | None:
-    """Add whole rings to the stencil ``nbr`` of vertex ``i`` until it holds
-    JET_MIN_SAMPLES vertices; None when the connected component runs out."""
-    indptr, indices = adj.indptr, adj.indices
-    reached = set(nbr.tolist())
-    reached.add(i)
-    frontier = reached
-    while len(reached) - 1 < JET_MIN_SAMPLES:
-        frontier = {k for j in frontier
-                    for k in indices[indptr[j]:indptr[j + 1]].tolist()} - reached
-        if not frontier:
-            return None
-        reached |= frontier
-    reached.discard(i)
-    return np.asarray(sorted(reached), dtype=np.int64)
+    kept_rows, kept = [], []
+    while True:
+        count = np.diff(reach.indptr)
+        short = count - 1 < JET_MIN_SAMPLES
+        kept_rows.append(rows[~short])
+        kept.append(reach[~short])
+        if not short.any():
+            break
+        reach = reach[short]
+        rows = rows[short]
+        reach = reach + reach @ adj
+        growing = np.diff(reach.indptr) > count[short]
+        reach = reach[growing]
+        rows = rows[growing]
+    return np.concatenate(kept_rows), sparse.vstack(kept, format="csr")
 
 
 def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
@@ -160,6 +166,13 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     fewer than ``JET_MIN_SAMPLES`` (12) neighbours, which happens at boundary
     vertices whose rings are one-sided, it grows by one ring at a time until
     it does; the 9-unknown cubic is then over-determined with a margin.
+    Stencils are built for the requested vertices only.  All fits are solved
+    at once: the column-scaled design matrices are zero-padded to the largest
+    stencil (zero rows leave a least-squares solution unchanged) and go
+    through one stacked SVD, whose singular values are cut below
+    ``eps * max(m, 9) * s_max`` for a stencil of m samples, the cutoff of
+    ``np.linalg.lstsq``.  A rank-deficient stencil so gets the minimum-norm
+    fit.
 
     Returns
     -------
@@ -174,55 +187,65 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     """
     v = mesh.vertices
     normals0 = mesh.vertex_normals
-    neighborhoods = _k_ring_neighbors(mesh, rings)
     if indices is None:
         indices = np.arange(mesh.n_vertices)
     indices = np.asarray(indices, dtype=np.int64)
     n_out = normals0[indices].copy()
     h_out = np.full(len(indices), np.nan)
+    rows, reach = _stencils(mesh, indices, rings)
+    if len(rows) == 0:
+        return n_out, h_out
 
-    adj = mesh.vertex_adjacency
-    for row, i in enumerate(indices):
-        nbr = neighborhoods[i]
-        if len(nbr) < JET_MIN_SAMPLES:
-            nbr = _grow_stencil(adj, int(i), nbr)
-            if nbr is None:
-                continue
-        n = normals0[i]
-        t1 = np.cross(n, [1.0, 0.0, 0.0])
-        if np.dot(t1, t1) < 1e-12:
-            t1 = np.cross(n, [0.0, 1.0, 0.0])
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(n, t1)
-        d = v[nbr] - v[i]
-        x = d @ t1
-        y = d @ t2
-        w = d @ n
-        # cubic jet through the origin: 2 linear + 3 quadratic + 4 cubic terms
-        a_mat = np.column_stack([
-            x, y, x * x, x * y, y * y,
-            x ** 3, x * x * y, x * y * y, y ** 3,
-        ])
-        scale = max(float(np.abs(np.concatenate([x, y])).max()), 1e-30)
-        col_scale = np.array([scale, scale, scale**2, scale**2, scale**2,
-                              scale**3, scale**3, scale**3, scale**3])
-        coef, *_ = np.linalg.lstsq(a_mat / col_scale, w, rcond=None)
-        coef = coef / col_scale
-        fx, fy = coef[0], coef[1]
-        fxx, fxy, fyy = 2.0 * coef[2], coef[3], 2.0 * coef[4]
-        e_ = 1.0 + fx * fx
-        f_ = fx * fy
-        g_ = 1.0 + fy * fy
-        denom = np.sqrt(1.0 + fx * fx + fy * fy)
-        l_ = fxx / denom
-        m_ = fxy / denom
-        nn_ = fyy / denom
-        # mean curvature of the graph w.r.t. the +n side of the frame; a graph
-        # curving away from +n (convex vertex, outward winding) gives a
-        # negative value, matching H = dot(K, -N)/2 < 0 for outward winding
-        h_out[row] = (e_ * nn_ - 2.0 * f_ * m_ + g_ * l_) / (2.0 * (e_ * g_ - f_ * f_))
-        n_fit = -fx * t1 - fy * t2 + n
-        n_out[row] = n_fit / np.linalg.norm(n_fit)
+    # gather each stencil into a row of a padded (rows, m_max) index table;
+    # padding repeats the centre vertex, whose offset and so design row is 0
+    centre = indices[rows]
+    count = np.diff(reach.indptr)
+    own = reach.indices == np.repeat(centre, count)
+    m = count - 1
+    m_max = int(m.max())
+    table = np.repeat(centre[:, None], m_max, axis=1)
+    table[np.arange(m_max) < m[:, None]] = reach.indices[~own]
+
+    n = normals0[centre]
+    t1 = np.cross(n, [1.0, 0.0, 0.0])
+    along_x = np.einsum("ij,ij->i", t1, t1) < 1e-12
+    t1[along_x] = np.cross(n[along_x], [0.0, 1.0, 0.0])
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(n, t1)
+    d = v[table] - v[centre][:, None, :]
+    x = np.einsum("rkj,rj->rk", d, t1)
+    y = np.einsum("rkj,rj->rk", d, t2)
+    w = np.einsum("rkj,rj->rk", d, n)
+    # cubic jet through the origin: 2 linear + 3 quadratic + 4 cubic terms
+    a_mat = np.stack([
+        x, y, x * x, x * y, y * y,
+        x ** 3, x * x * y, x * y * y, y ** 3,
+    ], axis=2)
+    scale = np.maximum(np.maximum(np.abs(x).max(axis=1),
+                                  np.abs(y).max(axis=1)), 1e-30)[:, None]
+    col_scale = scale ** np.array([1, 1, 2, 2, 2, 3, 3, 3, 3])
+    u, s, vt = np.linalg.svd(a_mat / col_scale[:, None, :],
+                             full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(m, 9) * s[:, 0]
+    keep = s > cutoff[:, None]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    uw = np.einsum("rki,rk->ri", u, w) * s_inv
+    coef = np.einsum("rij,ri->rj", vt, uw) / col_scale
+    fx, fy = coef[:, 0], coef[:, 1]
+    fxx, fxy, fyy = 2.0 * coef[:, 2], coef[:, 3], 2.0 * coef[:, 4]
+    e_ = 1.0 + fx * fx
+    f_ = fx * fy
+    g_ = 1.0 + fy * fy
+    denom = np.sqrt(1.0 + fx * fx + fy * fy)
+    l_ = fxx / denom
+    m_ = fxy / denom
+    nn_ = fyy / denom
+    # mean curvature of the graph w.r.t. the +n side of the frame; a graph
+    # curving away from +n (convex vertex, outward winding) gives a
+    # negative value, matching H = dot(K, -N)/2 < 0 for outward winding
+    h_out[rows] = (e_ * nn_ - 2.0 * f_ * m_ + g_ * l_) / (2.0 * (e_ * g_ - f_ * f_))
+    n_fit = -fx[:, None] * t1 - fy[:, None] * t2 + n
+    n_out[rows] = n_fit / np.linalg.norm(n_fit, axis=1, keepdims=True)
     return n_out, h_out
 
 

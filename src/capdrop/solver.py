@@ -33,17 +33,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .analytic import CapillaryParams, contact_angle
+from .analytic import (CapillaryParams, contact_angle, exterior_drop_cap,
+                       interior_drop_cap)
 from .curvature import (_face_cotangents, cotangent_area_gradient,
                         mixed_voronoi_areas)
-from .errors import (MeshDegeneracyError, SideViolationError,
-                     StepCollapseError)
+from .errors import (DegenerateConfigurationError, MeshDegeneracyError,
+                     SideViolationError, SolverError, StepCollapseError)
 from .geometry import Sphere
 from .mesh import TriMesh
 from .remesh import _remesh_with_stats, mean_edge_length, min_quality
-from .wetting import (WettingOperator, make_wetting_operator,
-                      surface_volume_gradient, surface_z_moment,
-                      surface_z_moment_gradient)
+from .wetting import (WettingOperator, _require_origin_centered,
+                      make_wetting_operator, surface_volume_gradient,
+                      surface_z_moment, surface_z_moment_gradient)
 
 __all__ = [
     "MODES",
@@ -635,7 +636,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         _write_diag(sink, _sanitize(diag))
         if (prev_e is not None and diag["step"] > 0
                 and diag["energy"] > prev_e + 1e-9 * (abs(prev_e) + 1)):
-            raise AssertionError(
+            raise SolverError(
                 "energy increased across an accepted step; this is a bug")
         prev_e = diag["energy"]
         if grad_norm <= config.grad_tol_factor * area:
@@ -821,18 +822,49 @@ def solve_dirichlet_cmc(boundary: np.ndarray, init: TriMesh,
             sink.close()
 
 
+def _exterior_drop_at(rho: float, theta: float, gamma: float):
+    """Exterior drop meeting the substrate at contact polar angle ``theta``
+    with contact angle ``gamma``.
+
+    The carrier passes through the contact circle, so its radius follows
+    from its centre height d; the contact angle rises monotonically from 0
+    to pi - theta as d grows from 0, and d is found by bisection.
+    """
+    if not 0.0 < gamma < math.pi - theta:
+        raise DegenerateConfigurationError(
+            "an exterior drop at this contact polar angle needs a contact "
+            "angle in (0, pi - contact polar angle)")
+
+    def drop(d):
+        return exterior_drop_cap(
+            rho, d, math.hypot(rho * math.sin(theta), d - rho * math.cos(theta)))
+
+    lo, hi = 0.0, rho
+    while drop(hi).gamma < gamma:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if drop(mid).gamma < gamma:
+            lo = mid
+        else:
+            hi = mid
+    return drop(0.5 * (lo + hi))
+
+
 def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
                             n_angular: int = 96):
     """Analytic cap roughly matching the requested volume or curvature."""
-    from .analytic import exterior_drop_cap, interior_drop_cap
-
     def drop_at(theta):
         if params.side == "interior":
             return interior_drop_cap(sphere.radius, theta, params.gamma)
-        return exterior_drop_cap(sphere.radius, theta, params.gamma)
+        return _exterior_drop_at(sphere.radius, theta, params.gamma)
 
     if params.target_volume is not None:
         lo, hi = 0.05, math.pi - 0.05
+        if params.side == "exterior":
+            # the drop's volume grows without bound as the contact polar
+            # angle nears pi - gamma, where the carrier flattens to a plane
+            hi = min(hi, math.pi - params.gamma)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             try:
@@ -855,10 +887,7 @@ def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
             if err < best_err:
                 best, best_err = d, err
         drop = best
-    mesh = drop.free_surface_mesh(n_angular)
-    if sphere.center.any():
-        mesh = mesh.with_vertices(mesh.vertices + sphere.center)
-    return mesh
+    return drop.free_surface_mesh(n_angular)
 
 
 def solve_capillary(sphere: Sphere, params: CapillaryParams,
@@ -872,6 +901,7 @@ def solve_capillary(sphere: Sphere, params: CapillaryParams,
     ``target_curvature`` set, the volume is tuned until the equilibrium
     multiplier (= mean curvature) matches.
     """
+    _require_origin_centered(sphere)
     if config is None:
         config = SolveConfig(mode="capillary", params=params, substrate=sphere)
     if config.mode != "capillary":
@@ -907,6 +937,7 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
     """
     if params.kappa <= 0.0:
         raise ValueError("prescribed height-curvature mode requires kappa > 0")
+    _require_origin_centered(sphere)
     if config is None:
         config = SolveConfig(mode="prescribed_height_curvature",
                              params=params, substrate=sphere)
@@ -914,7 +945,7 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
         raise ValueError("config.mode must be 'prescribed_height_curvature'")
     if init is None:
         init = _default_capillary_init(sphere, params)
-    bz = init.vertices[init.boundary_vertex_mask, 2] - sphere.center[2]
+    bz = init.vertices[init.boundary_vertex_mask, 2]
     if not (bz > 1e-12 * sphere.radius).all():
         raise ValueError("the boundary must lie in the upper open hemisphere "
                          "of the substrate")

@@ -125,6 +125,11 @@ def _circulation_gradient(loop_pts: np.ndarray, rho: float, field, field_jac,
     return grad
 
 
+def _require_origin_centered(sphere: Sphere) -> None:
+    if np.linalg.norm(sphere.center) > 1e-12 * sphere.radius:
+        raise ValueError("wetting operator requires an origin-centered substrate")
+
+
 @dataclass(frozen=True)
 class WettingOperator:
     """Patch functionals of one wetted region, bound to fixed boundary loops.
@@ -143,8 +148,7 @@ class WettingOperator:
     pole: np.ndarray
 
     def __post_init__(self):
-        if np.linalg.norm(self.sphere.center) > 1e-12 * self.sphere.radius:
-            raise ValueError("wetting operator requires an origin-centered substrate")
+        _require_origin_centered(self.sphere)
 
     @property
     def _rot(self) -> np.ndarray | None:
@@ -220,8 +224,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
     the sphere area.  When a meshed closure exists it cross-checks the
     result.
     """
-    if np.linalg.norm(sphere.center) > 1e-12 * sphere.radius:
-        raise ValueError("wetting operator requires an origin-centered substrate")
+    _require_origin_centered(sphere)
     loops = tuple(np.asarray(l) for l in mesh.boundary_loops())
     if not loops:
         raise ValueError("mesh has no boundary to wet")

@@ -7,7 +7,9 @@ from capdrop.curvature import (
     JET_MIN_SAMPLES, cotangent_area_gradient, jet_fit, jet_mean_curvature,
     mixed_voronoi_areas, vertex_mean_curvature,
 )
-from capdrop.shapes import flat_disk, grid_patch, icosphere, spherical_cap_mesh
+from capdrop.analytic import interior_drop_cap
+from capdrop.shapes import (flat_disk, grid_patch, icosphere, perturb_normal,
+                            spherical_cap_mesh)
 from capdrop.geometry import Sphere
 
 # Sign convention used throughout the package: h is measured against the
@@ -129,6 +131,94 @@ def test_jet_fit_nan_when_component_too_small(mesh):
     normals, h = jet_fit(mesh)
     assert np.all(np.isnan(h))
     assert np.allclose(normals, mesh.vertex_normals)
+
+
+def _next_ring(adj, reached: set) -> set:
+    return {int(k) for j in reached
+            for k in adj.indices[adj.indptr[j]:adj.indptr[j + 1]]} - reached
+
+
+def _lstsq_jet_reference(mesh, rings=2):
+    """One np.linalg.lstsq per vertex: the fit that jet_fit batches.
+
+    Also returns each fit's rank, so a test can tell that a rank-deficient
+    stencil was exercised.
+    """
+    v, normals0, adj = mesh.vertices, mesh.vertex_normals, mesh.vertex_adjacency
+    n_out = normals0.copy()
+    h_out = np.full(mesh.n_vertices, np.nan)
+    ranks = np.zeros(mesh.n_vertices, dtype=int)
+    for i in range(mesh.n_vertices):
+        reached = {i}
+        for _ in range(rings):
+            reached |= _next_ring(adj, reached)
+        while len(reached) - 1 < JET_MIN_SAMPLES:
+            grown = _next_ring(adj, reached)
+            if not grown:
+                break
+            reached |= grown
+        if len(reached) - 1 < JET_MIN_SAMPLES:
+            continue
+        n = normals0[i]
+        t1 = np.cross(n, [1.0, 0.0, 0.0])
+        if np.dot(t1, t1) < 1e-12:
+            t1 = np.cross(n, [0.0, 1.0, 0.0])
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(n, t1)
+        d = v[sorted(reached - {i})] - v[i]
+        x, y, w = d @ t1, d @ t2, d @ n
+        a = np.column_stack([x, y, x * x, x * y, y * y,
+                             x ** 3, x * x * y, x * y * y, y ** 3])
+        scale = np.abs(np.concatenate([x, y])).max() ** np.array(
+            [1, 1, 2, 2, 2, 3, 3, 3, 3])
+        coef, _, ranks[i], _ = np.linalg.lstsq(a / scale, w, rcond=None)
+        fx, fy, fxx, fxy, fyy = coef[:5] / scale[:5] * [1, 1, 2, 1, 2]
+        e, f, g = 1.0 + fx * fx, fx * fy, 1.0 + fy * fy
+        root = np.sqrt(1.0 + fx * fx + fy * fy)
+        h_out[i] = (e * fyy - 2.0 * f * fxy + g * fxx) / (
+            2.0 * root * (e * g - f * f))
+        n_fit = n - fx * t1 - fy * t2
+        n_out[i] = n_fit / np.linalg.norm(n_fit)
+    return n_out, h_out, ranks
+
+
+def _perturbed_drop():
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(110.0))
+    mesh = drop.free_surface_mesh(n_angular=48, n_rings=24)
+    return perturb_normal(mesh, 0.01, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("mesh", [
+    icosphere(3),
+    spherical_cap_mesh(Sphere((0.0, 0.0, 0.0), 1.0), np.array([0.0, 0.0, 1.0]),
+                       math.radians(60.0), n_angular=64, n_rings=32),
+    _perturbed_drop(),
+], ids=["icosphere3", "cap60", "perturbed_drop"])
+def test_jet_fit_matches_per_vertex_lstsq(mesh):
+    n_ref, h_ref, _ = _lstsq_jet_reference(mesh)
+    normals, h = jet_fit(mesh)
+    assert np.array_equal(np.isnan(h), np.isnan(h_ref))
+    assert np.allclose(h, h_ref, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(normals, n_ref, rtol=0.0, atol=1e-12)
+
+
+def test_jet_fit_cap_covers_grown_and_rank_deficient_stencils():
+    # the parametrised comparison above only means something on the cap if
+    # the cap has both kinds of stencil: thin boundary rings that grow, and
+    # an apex whose samples lie on circles about it (rank below 9)
+    cap = spherical_cap_mesh(Sphere((0.0, 0.0, 0.0), 1.0),
+                             np.array([0.0, 0.0, 1.0]), math.radians(60.0),
+                             n_angular=64, n_rings=32)
+    _, _, ranks = _lstsq_jet_reference(cap)
+    assert ranks.min() < 9
+    two_ring = cap.vertex_adjacency @ cap.vertex_adjacency + cap.vertex_adjacency
+    assert (np.diff(two_ring.tocsr().indptr) - 1 < JET_MIN_SAMPLES).any()
+
+
+def test_jet_fit_empty_indices():
+    normals, h = jet_fit(icosphere(1), np.array([], dtype=np.int64))
+    assert normals.shape == (0, 3)
+    assert h.shape == (0,)
 
 
 def test_jet_mean_curvature_saddle():
