@@ -2,8 +2,7 @@
 
 A surface whose boundary loops sit on a sphere can be closed by filling each
 loop with a triangulated patch of the sphere.  The closed result bounds the
-region used for volume bookkeeping and for inside/outside tests during the
-moving-planes sweep.
+region used for volume bookkeeping and for inside/outside tests.
 """
 
 from __future__ import annotations

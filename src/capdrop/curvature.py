@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .geometry import cross3
 from .mesh import TriMesh
 
 __all__ = ["vertex_mean_curvature", "jet_mean_curvature", "cotangent_area_gradient", "mixed_voronoi_areas"]
@@ -44,10 +45,15 @@ def _face_cotangents(mesh: TriMesh) -> np.ndarray:
     for k in range(3):
         a = v[f[:, (k + 1) % 3]] - v[f[:, k]]
         b = v[f[:, (k + 2) % 3]] - v[f[:, k]]
-        cross = np.linalg.norm(np.cross(a, b), axis=1)
+        cross = np.linalg.norm(cross3(a, b), axis=1)
         dot = np.einsum("ij,ij->i", a, b)
         cots[:, k] = dot / np.maximum(cross, 1e-300)
     return np.clip(cots, -_COT_CLAMP, _COT_CLAMP)
+
+
+# scatter blocks of the edge terms: for corner k, the two ends (k+1, k+2) of
+# the opposite edge
+_EDGE_ENDS = (1, 2, 2, 0, 0, 1)
 
 
 def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
@@ -59,27 +65,20 @@ def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
     obtuse_corner = np.argmin(cots, axis=1)
     is_obtuse = cots[np.arange(len(f)), obtuse_corner] < 0.0
 
-    va = np.zeros(mesh.n_vertices)
+    vals = np.empty((9, len(f)))
     # Voronoi contribution: for corner k the opposite edge is (k+1, k+2); the
     # cell area at vertex j gets |e|^2 * cot(angle opposite e) / 8 for each
     # edge e incident to j.
     for k in range(3):
-        j1 = f[:, (k + 1) % 3]
-        j2 = f[:, (k + 2) % 3]
-        e2 = np.einsum("ij,ij->i", v[j1] - v[j2], v[j1] - v[j2])
-        contrib = e2 * cots[:, k] / 8.0
-        safe = ~is_obtuse
-        np.add.at(va, j1[safe], contrib[safe])
-        np.add.at(va, j2[safe], contrib[safe])
+        d = v[f[:, (k + 1) % 3]] - v[f[:, (k + 2) % 3]]
+        e2 = np.einsum("ij,ij->i", d, d)
+        vals[2 * k] = vals[2 * k + 1] = np.where(is_obtuse, 0.0,
+                                                 e2 * cots[:, k] / 8.0)
     # obtuse triangles: half the area at the obtuse corner, quarter elsewhere
-    if np.any(is_obtuse):
-        fo = f[is_obtuse]
-        ao = areas[is_obtuse]
-        co = obtuse_corner[is_obtuse]
-        for k in range(3):
-            share = np.where(co == k, 0.5, 0.25)
-            np.add.at(va, fo[:, k], share * ao)
-    return va
+    for k in range(3):
+        share = np.where(obtuse_corner == k, 0.5, 0.25)
+        vals[6 + k] = np.where(is_obtuse, share * areas, 0.0)
+    return mesh.scatter(vals, _EDGE_ENDS + (0, 1, 2))
 
 
 def cotangent_area_gradient(mesh: TriMesh) -> np.ndarray:
@@ -87,15 +86,13 @@ def cotangent_area_gradient(mesh: TriMesh) -> np.ndarray:
     v = mesh.vertices
     f = mesh.faces
     cots = _face_cotangents(mesh)
-    grad = np.zeros_like(v)
+    vals = np.empty((6, len(f), 3))
     for k in range(3):
-        j1 = f[:, (k + 1) % 3]
-        j2 = f[:, (k + 2) % 3]
-        d = v[j1] - v[j2]
+        d = v[f[:, (k + 1) % 3]] - v[f[:, (k + 2) % 3]]
         w = 0.5 * cots[:, k]
-        np.add.at(grad, j1, w[:, None] * d)
-        np.add.at(grad, j2, -w[:, None] * d)
-    return grad
+        vals[2 * k] = w[:, None] * d
+        vals[2 * k + 1] = -w[:, None] * d
+    return mesh.scatter(vals, _EDGE_ENDS)
 
 
 def vertex_mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +204,11 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     table[np.arange(m_max) < m[:, None]] = reach.indices[~own]
 
     n = normals0[centre]
-    t1 = np.cross(n, [1.0, 0.0, 0.0])
+    t1 = cross3(n, [1.0, 0.0, 0.0])
     along_x = np.einsum("ij,ij->i", t1, t1) < 1e-12
-    t1[along_x] = np.cross(n[along_x], [0.0, 1.0, 0.0])
+    t1[along_x] = cross3(n[along_x], [0.0, 1.0, 0.0])
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(n, t1)
+    t2 = cross3(n, t1)
     d = v[table] - v[centre][:, None, :]
     x = np.einsum("rkj,rj->rk", d, t1)
     y = np.einsum("rkj,rj->rk", d, t2)

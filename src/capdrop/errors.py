@@ -49,14 +49,6 @@ class DegenerateConfigurationError(GeometryError):
     """Input points do not determine the requested fit (e.g. coplanar for a sphere)."""
 
 
-class NoCommonLineError(GeometryError):
-    """The given planes do not share a common straight line."""
-
-
-class NoContactInRangeError(GeometryError):
-    """A moving-plane sweep never touched the surface inside the parameter range."""
-
-
 class AxisSingularityError(GeometryError):
     """A rotational profile ran into the axis of revolution."""
 
@@ -87,7 +79,3 @@ class SideViolationError(SolverError):
 
 class UnknownFormatError(CapdropError):
     """File extension/format not recognized by the converter."""
-
-
-class ConfigError(CapdropError):
-    """Scenario configuration is malformed; the message names the offending field."""

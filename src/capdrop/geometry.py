@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Sphere", "Plane", "Line", "unit", "rotation_from_axis_angle",
+    "Sphere", "Plane", "Line", "unit", "cross3", "rotation_from_axis_angle",
     "rotation_between", "open_hemisphere_pole",
 ]
 
@@ -35,6 +35,22 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of two broadcastable (..., 3) arrays.
+
+    Each component is one product minus another, as in ``np.cross``, so the
+    result equals ``np.cross(a, b)`` bit for bit; it skips ``np.cross``'s
+    argument handling, which dominates on the small arrays of a flow step.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def rotation_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix about ``axis`` by ``angle`` (Rodrigues)."""
     k = unit(axis)
@@ -54,9 +70,9 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         helper = np.array([1.0, 0.0, 0.0])
         if abs(a[0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
-        axis = unit(np.cross(a, helper))
+        axis = unit(cross3(a, helper))
         return rotation_from_axis_angle(axis, np.pi)
-    axis = np.cross(a, b)
+    axis = cross3(a, b)
     s = np.linalg.norm(axis)
     return rotation_from_axis_angle(axis, float(np.arctan2(s, c)))
 

@@ -7,6 +7,20 @@ validates manifoldness (every edge in at most two faces, no pinched boundary
 vertices), orientation consistency (no directed edge repeats), and rejects
 degenerate faces.  Boundary edges must chain into disjoint simple closed
 loops.
+
+Derived quantities are cached in two dicts.  Position-dependent ones (face
+areas, normals) belong to one mesh and are dropped by
+``invalidate_geometry``.  Connectivity ones (edges, boundary loops,
+adjacency, scatter matrices) live in a topology dict that
+``with_vertices`` hands to the new mesh by reference, so a cache built on
+any mesh over the same faces serves all of them; faces are never edited in
+place.
+
+``TriMesh.scatter`` sums per-corner face values into the vertices.  Its
+values come in blocks of one row per face, each block tied to one corner of
+the faces, and every vertex adds its rows block by block, in face order
+within a block: the order in which ``np.add.at`` over the blocks in turn
+would add them, so the sums match it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +36,11 @@ from .errors import (
     NonManifoldError,
     OpenMeshError,
 )
-from .geometry import Plane
+from .geometry import Plane, cross3
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["TriMesh", "build_mesh", "reflect"]
+__all__ = ["TriMesh", "build_mesh"]
 
 
 class TriMesh:
@@ -56,6 +70,7 @@ class TriMesh:
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("face index out of range")
         self._cache: dict = {}
+        self._topology: dict = {}
         if validate:
             self._validate(area_floor)
 
@@ -121,34 +136,34 @@ class TriMesh:
     @property
     def directed_edges(self) -> np.ndarray:
         """(3m, 2) array of directed edges in face order."""
-        if "directed_edges" not in self._cache:
+        if "directed_edges" not in self._topology:
             f = self.faces
-            self._cache["directed_edges"] = np.concatenate(
+            self._topology["directed_edges"] = np.concatenate(
                 [f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0
             )
-        return self._cache["directed_edges"]
+        return self._topology["directed_edges"]
 
     @property
     def boundary_directed_edges(self) -> np.ndarray:
         """Directed edges whose reverse is not present, in face winding order."""
-        if "boundary_directed_edges" not in self._cache:
+        if "boundary_directed_edges" not in self._topology:
             de = self.directed_edges
             n = self.n_vertices
             keys = de[:, 0] * n + de[:, 1]
             rkeys = de[:, 1] * n + de[:, 0]
             has_reverse = np.isin(keys, rkeys, assume_unique=False)
-            self._cache["boundary_directed_edges"] = de[~has_reverse]
-        return self._cache["boundary_directed_edges"]
+            self._topology["boundary_directed_edges"] = de[~has_reverse]
+        return self._topology["boundary_directed_edges"]
 
     @property
     def boundary_vertex_mask(self) -> np.ndarray:
-        if "boundary_vertex_mask" not in self._cache:
+        if "boundary_vertex_mask" not in self._topology:
             mask = np.zeros(self.n_vertices, dtype=bool)
             be = self.boundary_directed_edges
             if be.size:
                 mask[be.ravel()] = True
-            self._cache["boundary_vertex_mask"] = mask
-        return self._cache["boundary_vertex_mask"]
+            self._topology["boundary_vertex_mask"] = mask
+        return self._topology["boundary_vertex_mask"]
 
     @property
     def is_closed(self) -> bool:
@@ -159,7 +174,7 @@ class TriMesh:
         """Unnormalized face normals (cross products); norm is twice the face area."""
         v = self.vertices
         f = self.faces
-        return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        return cross3(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
     @property
     def face_areas(self) -> np.ndarray:
@@ -179,10 +194,8 @@ class TriMesh:
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals following the face winding."""
         if "vertex_normals" not in self._cache:
-            vn = np.zeros_like(self.vertices)
             c = self.face_cross
-            for k in range(3):
-                np.add.at(vn, self.faces[:, k], c)
+            vn = self.scatter(np.stack([c, c, c]))
             norms = np.linalg.norm(vn, axis=1, keepdims=True)
             self._cache["vertex_normals"] = vn / np.maximum(norms, 1e-300)
         return self._cache["vertex_normals"]
@@ -190,7 +203,7 @@ class TriMesh:
     @property
     def vertex_adjacency(self) -> sparse.csr_matrix:
         """Symmetric vertex adjacency (1 where an edge connects two vertices)."""
-        if "vertex_adjacency" not in self._cache:
+        if "vertex_adjacency" not in self._topology:
             de = self.directed_edges
             n = self.n_vertices
             a = sparse.csr_matrix(
@@ -198,8 +211,37 @@ class TriMesh:
             )
             a = a + a.T
             a.data[:] = 1.0
-            self._cache["vertex_adjacency"] = a
-        return self._cache["vertex_adjacency"]
+            self._topology["vertex_adjacency"] = a
+        return self._topology["vertex_adjacency"]
+
+    def scatter(self, values: np.ndarray, corners: tuple = (0, 1, 2)) -> np.ndarray:
+        """Sum per-corner face values into the vertices.
+
+        ``values`` has shape ``(len(corners), n_faces)`` or
+        ``(len(corners), n_faces, d)``: row j of block b belongs to vertex
+        ``faces[j, corners[b]]``.  Each vertex sums its rows block by block
+        and in face order within a block, as one ``np.add.at`` per block
+        would; a masked row is passed as 0.0, which adds exactly.
+
+        Vector rows go through a 0/1 CSR matrix built once per connectivity
+        and ``corners`` pattern.  Scalar rows go through ``np.bincount``,
+        which adds in input order too and is as fast as the matrix for them,
+        so no matrix is kept for a scalar pattern.
+        """
+        if values.ndim == 2:
+            return np.bincount(self.faces[:, list(corners)].T.ravel(),
+                               weights=values.ravel(), minlength=self.n_vertices)
+        key = ("scatter", corners)
+        mat = self._topology.get(key)
+        if mat is None:
+            owner = self.faces[:, list(corners)].T.ravel()
+            counts = np.bincount(owner, minlength=self.n_vertices)
+            mat = sparse.csr_matrix(
+                (np.ones(len(owner)), np.argsort(owner, kind="stable"),
+                 np.concatenate([[0], np.cumsum(counts)])),
+                shape=(self.n_vertices, len(owner)))
+            self._topology[key] = mat
+        return mat @ values.reshape((mat.shape[1],) + values.shape[2:])
 
     def surface_area(self) -> float:
         """Total surface area."""
@@ -226,7 +268,7 @@ class TriMesh:
         """
         v = self.vertices
         f = self.faces
-        return float(np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
+        return float(np.einsum("ij,ij->i", v[f[:, 0]], cross3(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
 
     def enclosed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation.
@@ -247,8 +289,8 @@ class TriMesh:
 
         Each loop is a closed cycle (the last vertex connects back to the first).
         """
-        if "boundary_loops" in self._cache:
-            return self._cache["boundary_loops"]
+        if "boundary_loops" in self._topology:
+            return self._topology["boundary_loops"]
         be = self.boundary_directed_edges
         loops: list[np.ndarray] = []
         if be.size:
@@ -261,18 +303,17 @@ class TriMesh:
                     nxt = succ.pop(nxt)
                 loops.append(np.asarray(loop, dtype=np.int64))
         loops.sort(key=len, reverse=True)
-        self._cache["boundary_loops"] = loops
+        self._topology["boundary_loops"] = loops
         return loops
 
     def invalidate_geometry(self) -> None:
         """Drop cached position-dependent quantities.
 
         Must be called after mutating ``vertices`` in place; connectivity
-        caches (boundary structure, adjacency) survive since the faces are
-        untouched.
+        caches (boundary structure, adjacency, scatter matrices) survive
+        since the faces are untouched.
         """
-        for key in ("face_areas", "face_normals", "vertex_normals"):
-            self._cache.pop(key, None)
+        self._cache.clear()
 
     # -- derived meshes ----------------------------------------------------------
 
@@ -280,12 +321,10 @@ class TriMesh:
         return TriMesh(self.vertices.copy(), self.faces.copy(), validate=False)
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
-        """New mesh over the same faces; connectivity caches are carried over."""
+        """New mesh over the same faces, sharing this mesh's topology caches
+        by reference: a connectivity cache built on either serves both."""
         m = TriMesh(np.asarray(vertices, dtype=float), self.faces, validate=False)
-        for key in ("directed_edges", "boundary_directed_edges",
-                     "boundary_vertex_mask", "vertex_adjacency", "boundary_loops"):
-            if key in self._cache:
-                m._cache[key] = self._cache[key]
+        m._topology = self._topology
         return m
 
     def flipped(self) -> "TriMesh":
@@ -327,8 +366,3 @@ def build_mesh(vertices, faces) -> TriMesh:
     generic failure so callers can distinguish repairable inputs.
     """
     return TriMesh(vertices, faces, validate=True)
-
-
-def reflect(mesh: TriMesh, plane: Plane) -> TriMesh:
-    """Mirror image of ``mesh`` across ``plane`` (winding flipped)."""
-    return mesh.reflected(plane)

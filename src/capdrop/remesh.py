@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import MeshError
+from .geometry import cross3
 from .mesh import TriMesh, build_mesh
 
 __all__ = ["remesh", "triangle_quality", "min_quality", "mean_edge_length"]
@@ -34,7 +35,7 @@ def triangle_quality(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     degenerates; scale invariant.
     """
     a, b, c = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    area2 = np.linalg.norm(cross3(b - a, c - a), axis=1)
     l2 = ((b - a) ** 2).sum(1) + ((c - b) ** 2).sum(1) + ((a - c) ** 2).sum(1)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = 2.0 * np.sqrt(3.0) * area2 / l2

@@ -178,8 +178,14 @@ def energy(mesh: TriMesh, region=None, sphere: Sphere | None = None,
     return base - cosg * wet
 
 
-def _energy_volume(x: np.ndarray, conn: TriMesh, state: FlowState):
-    m = conn.with_vertices(x)
+# The functionals below evaluate at the positions of the mesh they are given;
+# a step makes one mesh per trial position with ``with_vertices``, so every
+# evaluation at that position shares its cached face areas and all of them
+# share the connectivity caches.
+
+
+def _energy_volume(m: TriMesh, state: FlowState):
+    x = m.vertices
     e = m.surface_area()
     vol = m.divergence_volume()
     op = state.operator
@@ -189,30 +195,36 @@ def _energy_volume(x: np.ndarray, conn: TriMesh, state: FlowState):
             e -= cosg * op.area(x)
         vol += op.volume_term(x)
         if state.kappa != 0.0:
-            e -= 2.0 * state.kappa * (surface_z_moment(x, conn.faces)
+            e -= 2.0 * state.kappa * (surface_z_moment(x, m.faces)
                                       + op.z_moment_term(x))
     return e, vol
 
 
-def _volume_of(x: np.ndarray, conn: TriMesh, state: FlowState) -> float:
-    vol = conn.with_vertices(x).divergence_volume()
+def _volume_of(m: TriMesh, state: FlowState) -> float:
+    vol = m.divergence_volume()
     if state.operator is not None:
-        vol += state.operator.volume_term(x)
+        vol += state.operator.volume_term(m.vertices)
     return vol
 
 
-def _gradients(x: np.ndarray, conn: TriMesh, state: FlowState):
-    m = conn.with_vertices(x)
+def _volume_gradient(m: TriMesh, state: FlowState) -> np.ndarray:
+    c = surface_volume_gradient(m)
+    if state.operator is not None:
+        c = c + state.operator.volume_term_gradient(m.vertices)
+    return c
+
+
+def _gradients(m: TriMesh, state: FlowState):
+    x = m.vertices
     g = cotangent_area_gradient(m)
-    c = surface_volume_gradient(x, conn.faces)
+    c = _volume_gradient(m, state)
     op = state.operator
     if op is not None:
         cosg = math.cos(state.gamma)
         if cosg != 0.0:
             g -= cosg * op.area_gradient(x)
-        c += op.volume_term_gradient(x)
         if state.kappa != 0.0:
-            g -= 2.0 * state.kappa * (surface_z_moment_gradient(x, conn.faces)
+            g -= 2.0 * state.kappa * (surface_z_moment_gradient(m)
                                       + op.z_moment_term_gradient(x))
     return g, c
 
@@ -221,21 +233,21 @@ def _gradients(x: np.ndarray, conn: TriMesh, state: FlowState):
 # constraint plumbing
 
 
-def _project_rows(arr: np.ndarray, conn: TriMesh, state: FlowState,
-                  x: np.ndarray) -> np.ndarray:
+def _project_rows(arr: np.ndarray, m: TriMesh, state: FlowState) -> np.ndarray:
     out = arr.copy()
     out[state.pinned] = 0.0
     if state.free_boundary:
-        bmask = conn.boundary_vertex_mask
-        n = state.substrate.outward_normals(x[bmask])
+        bmask = m.boundary_vertex_mask
+        n = state.substrate.outward_normals(m.vertices[bmask])
         rows = out[bmask]
         out[bmask] = rows - n * (rows * n).sum(1)[:, None]
     return out
 
 
-def _restore_direction(x: np.ndarray, conn: TriMesh,
+def _restore_direction(m: TriMesh, c: np.ndarray,
                        state: FlowState) -> np.ndarray:
-    """Field along which volume corrections are applied.
+    """Field along which volume corrections are applied, given the volume
+    gradient ``c`` at ``m``.
 
     The preconditioner solved against the projected volume gradient: smooth
     on the preconditioner's length scale and fading toward pinned vertices.
@@ -244,34 +256,31 @@ def _restore_direction(x: np.ndarray, conn: TriMesh,
     and any field with a hard zero at a pinned boundary kinks the first
     interior ring, on every single projection.
     """
-    c = surface_volume_gradient(x, conn.faces)
-    if state.operator is not None:
-        c = c + state.operator.volume_term_gradient(x)
-    c = _project_rows(c, conn, state, x)
-    lu = _preconditioner(conn, x, state)
-    return _project_rows(lu.solve(c), conn, state, x)
+    c = _project_rows(c, m, state)
+    lu = _preconditioner(m, state)
+    return _project_rows(lu.solve(c), m, state)
 
 
-def _restore_volume(x: np.ndarray, conn: TriMesh, state: FlowState,
-                    rel_tol: float = 1e-12, max_iter: int = 30
-                    ) -> tuple[np.ndarray, bool]:
+def _restore_volume(m: TriMesh, state: FlowState, rel_tol: float = 1e-12,
+                    max_iter: int = 30) -> tuple[TriMesh, bool]:
     """Newton correction along the smoothed volume-gradient field; returns
-    the corrected positions and whether the constraint was met."""
+    the corrected mesh and whether the constraint was met.  The volume
+    gradient taken for the direction serves the first Newton iteration."""
     scale = max(1.0, abs(state.volume_target))
-    u = _restore_direction(x, conn, state)
+    c = _volume_gradient(m, state)
+    u = _restore_direction(m, c, state)
     for _ in range(max_iter):
-        vol = _volume_of(x, conn, state)
-        r = state.volume_target - vol
+        r = state.volume_target - _volume_of(m, state)
         if abs(r) <= rel_tol * scale:
-            return x, True
-        c = surface_volume_gradient(x, conn.faces)
-        if state.operator is not None:
-            c = c + state.operator.volume_term_gradient(x)
+            return m, True
+        if c is None:
+            c = _volume_gradient(m, state)
         denom = float((c * u).sum())
         if denom <= 0.0:
-            return x, False
-        x = x + (r / denom) * u
-    return x, False
+            return m, False
+        m = m.with_vertices(m.vertices + (r / denom) * u)
+        c = None
+    return m, False
 
 
 def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray:
@@ -282,11 +291,10 @@ def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray
     return x
 
 
-def _cotan_laplacian(conn: TriMesh, x: np.ndarray) -> sparse.csr_matrix:
-    m = conn.with_vertices(x)
+def _cotan_laplacian(m: TriMesh) -> sparse.csr_matrix:
     cots = _face_cotangents(m)
-    f = conn.faces
-    n = conn.n_vertices
+    f = m.faces
+    n = m.n_vertices
     rows, cols, vals = [], [], []
     for k in range(3):
         j1 = f[:, (k + 1) % 3]
@@ -301,15 +309,14 @@ def _cotan_laplacian(conn: TriMesh, x: np.ndarray) -> sparse.csr_matrix:
     return L
 
 
-def _preconditioner(conn: TriMesh, x: np.ndarray, state: FlowState):
+def _preconditioner(m: TriMesh, state: FlowState):
     cached = state._precond
     if (cached is not None
             and state._precond_stale < 0.25 * state.target_edge
-            and cached.shape[0] == conn.n_vertices):
+            and cached.shape[0] == m.n_vertices):
         return cached
-    L = _cotan_laplacian(conn, x)
-    M = sparse.diags(np.maximum(mixed_voronoi_areas(conn.with_vertices(x)),
-                                1e-300))
+    L = _cotan_laplacian(m)
+    M = sparse.diags(np.maximum(mixed_voronoi_areas(m), 1e-300))
     A = (M + state.sobolev_alpha * L).tocsr()
     if state.pinned.any():
         free = sparse.diags((~state.pinned).astype(float))
@@ -340,13 +347,12 @@ def _cheap_h_stats(g: np.ndarray, c: np.ndarray, interior: np.ndarray):
     return mean, float(np.abs(q - mean).max())
 
 
-def _cheap_angle_stats(conn: TriMesh, x: np.ndarray, state: FlowState):
+def _cheap_angle_stats(m: TriMesh, state: FlowState):
     if not state.free_boundary:
         return math.nan
-    m = conn.with_vertices(x)
-    bmask = conn.boundary_vertex_mask
+    bmask = m.boundary_vertex_mask
     n = m.vertex_normals[bmask]
-    s = state.substrate.outward_normals(x[bmask]) * state.side_sign
+    s = state.substrate.outward_normals(m.vertices[bmask]) * state.side_sign
     ang = np.arccos(np.clip(-(n * s).sum(1), -1.0, 1.0))
     return float(np.abs(ang - ang.mean()).max())
 
@@ -393,7 +399,7 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
     state.alpha_floor = min(state.sobolev_alpha,
                             (2.0 * state.target_edge) ** 2)
     if volume_target is None:
-        _, volume_target = _energy_volume(mesh.vertices, mesh, state)
+        _, volume_target = _energy_volume(mesh, state)
     state.volume_target = float(volume_target)
     return state
 
@@ -410,10 +416,10 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     """
     x0 = mesh.vertices
     area = mesh.surface_area()
-    e0, v0 = _energy_volume(x0, mesh, state)
-    g, c = _gradients(x0, mesh, state)
-    g_proj = _project_rows(g, mesh, state, x0)
-    c_proj = _project_rows(c, mesh, state, x0)
+    e0, v0 = _energy_volume(mesh, state)
+    g, c = _gradients(mesh, state)
+    g_proj = _project_rows(g, mesh, state)
+    c_proj = _project_rows(c, mesh, state)
     cc = float((c_proj * c_proj).sum())
     lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
     resid = g_proj - lam * c_proj
@@ -429,7 +435,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         "volume": v0,
         "multiplier": state.multiplier,
         "maxHdev": max_h_dev,
-        "maxAngleDev": _cheap_angle_stats(mesh, x0, state),
+        "maxAngleDev": _cheap_angle_stats(mesh, state),
         "gradNorm": grad_norm,
         "step": 0.0,
         "displacement": 0.0,
@@ -440,7 +446,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         state.last_energy = e0
         return mesh, diag
 
-    lu = _preconditioner(mesh, x0, state)
+    lu = _preconditioner(mesh, state)
     sol = lu.solve(np.hstack([g_proj, c_proj]))
     pg, pc = sol[:, :3], sol[:, 3:]
     denom = float((c_proj * pc).sum())
@@ -448,12 +454,12 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     # volume-neutral by construction: c_proj . d = 0 through lam_pre, so
     # the restore after each trial is a second-order correction
     d = -(pg - lam_pre * pc)
-    d = _project_rows(d, mesh, state, x0)
+    d = _project_rows(d, mesh, state)
     slope = float((g * d).sum())
     if slope >= 0.0:
         # fall back to the mass-preconditioned projected gradient
         m_areas = np.maximum(mixed_voronoi_areas(mesh), 1e-300)
-        d = _project_rows(-resid / m_areas[:, None], mesh, state, x0)
+        d = _project_rows(-resid / m_areas[:, None], mesh, state)
         slope = float((g * d).sum())
         if slope >= 0.0:
             raise StepCollapseError("no descent direction at current iterate")
@@ -469,13 +475,12 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         t = min(t, 0.5 * state.step)
     accepted = None
     while t >= config.min_step:
-        x = x0 + t * d
-        x = _snap_boundary(x, mesh, state)
-        x, ok = _restore_volume(x, mesh, state)
+        x = _snap_boundary(x0 + t * d, mesh, state)
+        m, ok = _restore_volume(mesh.with_vertices(x), state)
         if ok:
-            e_t, v_t = _energy_volume(x, mesh, state)
+            e_t, v_t = _energy_volume(m, state)
             if e_t <= e0 + 1e-4 * t * slope:
-                accepted = (x, e_t, v_t, t)
+                accepted = (m, e_t, v_t, t)
                 break
         t *= config.backtrack_factor
     if accepted is None:
@@ -483,7 +488,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
             f"line search failed below step {config.min_step:g} "
             f"(grad norm {grad_norm:.3e})")
 
-    x, e_t, v_t, t = accepted
+    m, e_t, v_t, t = accepted
     # when the realized decrease is curvature-limited, the step is riding
     # the stability boundary of the stiffest mode and plain backtracking
     # lets that mode ring; one quadratic interpolation lands near the
@@ -492,16 +497,17 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     if gain < 0.49:
         t_ref = t / (2.0 * (1.0 - gain))
         x_ref = _snap_boundary(x0 + t_ref * d, mesh, state)
-        x_ref, ok = _restore_volume(x_ref, mesh, state)
+        m_ref, ok = _restore_volume(mesh.with_vertices(x_ref), state)
         if ok:
-            e_ref, v_ref = _energy_volume(x_ref, mesh, state)
+            e_ref, v_ref = _energy_volume(m_ref, state)
             if e_ref < e_t:
-                x, e_t, v_t, t = x_ref, e_ref, v_ref, t_ref
+                m, e_t, v_t, t = m_ref, e_ref, v_ref, t_ref
     state.step = t
     state.iteration += 1
 
     violations = 0
     if state.free_boundary:
+        x = m.vertices
         sd = state.substrate.signed_distance(x[interior]) * state.side_sign
         bad = sd > 1e-7 * state.substrate.radius
         violations = int(bad.sum())
@@ -512,21 +518,21 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
             x = x.copy()
             x[idx] = (state.substrate.center
                       + centered * (1.0 - state.side_sign * 1e-9))
-            x, _ = _restore_volume(x, mesh, state)
-            e_t, v_t = _energy_volume(x, mesh, state)
+            m, _ = _restore_volume(mesh.with_vertices(x), state)
+            e_t, v_t = _energy_volume(m, state)
         state.side_violation_streak = (state.side_violation_streak + 1
                                        if violations else 0)
 
-    if min_quality(mesh.with_vertices(x)) < config.quality_floor:
+    if min_quality(m) < config.quality_floor:
         state.needs_remesh = True
 
-    disp = float(np.linalg.norm(x - x0, axis=1).max())
+    disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
     state._precond_stale += disp
     state.disp_since_remesh += disp
     diag.update(step=t, displacement=disp, energy=e_t, volume=v_t,
                 sideViolations=violations)
     state.last_energy = e_t
-    return mesh.with_vertices(x), diag
+    return m, diag
 
 
 # --------------------------------------------------------------------------
@@ -552,10 +558,20 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
         state.pinned = new.boundary_vertex_mask.copy()
     else:
         state.pinned = np.zeros(new.n_vertices, dtype=bool)
+    # build the new faces' cotangent scatter before the restore factors the
+    # preconditioner: built in the next step instead, its long-lived arrays
+    # land in the memory the dropped factor leaves, and the next factor has
+    # to grow the heap (under glibc malloc that raised the peak memory of a
+    # 16k-vertex solve by 5-25%)
+    cotangent_area_gradient(new)
+    # the two resets do different jobs: the first keeps the old faces' factor
+    # from serving the new faces (a remesh can keep the vertex count) and
+    # frees it before the restore factors anew; the second drops the
+    # restore's factor, taken before the correction moved the mesh, so the
+    # next step refactors at the restored positions
     state._precond = None
     state._precond_stale = math.inf
-    x, _ = _restore_volume(new.vertices.copy(), new, state)
-    new = new.with_vertices(x)
+    new, _ = _restore_volume(new, state)
     state.needs_remesh = False
     state.disp_since_remesh = 0.0
     state._precond = None
@@ -579,11 +595,10 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     """Drive flow_step to convergence; returns the mesh and a stop record."""
     budget = iteration_budget or config.max_iterations
     x = _snap_boundary(mesh.vertices.copy(), mesh, state)
-    x, ok = _restore_volume(x, mesh, state)
+    mesh, ok = _restore_volume(mesh.with_vertices(x), state)
     if not ok:
         raise MeshDegeneracyError(
             "could not push the initial surface to the target volume")
-    mesh = mesh.with_vertices(x)
     # the entry correction can move vertices a long way
     state._precond_stale = math.inf
     area = mesh.surface_area()
@@ -675,7 +690,7 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
     of H itself.
     """
     x = mesh.vertices
-    g, c = _gradients(x, mesh, state)
+    g, c = _gradients(mesh, state)
     interior = ~mesh.boundary_vertex_mask
     cn2 = (c[interior] ** 2).sum(1)
     ok = cn2 > 1e-300
@@ -713,7 +728,7 @@ def _measured_ok(mesh: TriMesh, config: SolveConfig, state: FlowState) -> bool:
 
 def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
                   info: dict, mu_for_law: float | None = None) -> SolveReport:
-    e, vol = _energy_volume(mesh.vertices, mesh, state)
+    e, vol = _energy_volume(mesh, state)
     m = _measure(mesh, config, state, mu_for_law)
     converged = info["stop"] in ("gradient", "stalled", "measured") and m["pass"]
     return SolveReport(
@@ -745,8 +760,7 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
     info = {"stop": "budget", "steps": 0, "grad_norm": math.inf}
     for _ in range(24):
         state.volume_target = v_cur
-        x, _ = _restore_volume(mesh.vertices.copy(), mesh, state)
-        mesh = mesh.with_vertices(x)
+        mesh, _ = _restore_volume(mesh, state)
         budget = min(inner, config.max_iterations - total)
         if budget <= 0:
             break

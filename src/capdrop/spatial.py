@@ -1,9 +1,9 @@
 """Spatial queries: winding numbers, point-to-surface distance, ray counting.
 
-These kernels are shared by containment tests, the moving-planes engine, and
-symmetry residuals.  They are vectorized over chunks; the chunk loop can fan
-out over a thread pool sized by :func:`set_threads` (numpy releases the GIL
-on the large einsum/reduction calls that dominate).
+These kernels serve the containment tests.  They are vectorized over
+chunks; the chunk loop can fan out over a thread pool sized by
+:func:`set_threads` (numpy releases the GIL on the large einsum/reduction
+calls that dominate).
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ sphere is centered at the origin; callers translate first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .closure import close_with_spherical_patch
 from .errors import LoopsNotInHemisphereError
-from .geometry import Sphere, open_hemisphere_pole, rotation_between, unit
+from .geometry import (Sphere, cross3, open_hemisphere_pole, rotation_between,
+                       unit)
 from .mesh import TriMesh
 
 __all__ = [
@@ -85,10 +86,22 @@ def _z3_field_jac(p: np.ndarray, rho: float) -> np.ndarray:
     return jac
 
 
+def _next(loop_pts: np.ndarray) -> np.ndarray:
+    """Each loop vertex's successor (``np.roll(loop_pts, -1, axis=0)``)."""
+    return np.concatenate([loop_pts[1:], loop_pts[:1]])
+
+
+def _pole_rotation(pole: np.ndarray) -> np.ndarray | None:
+    """Rotation taking ``pole`` to +z; None when it already is +z."""
+    if abs(pole[2] - 1.0) < 1e-15:
+        return None
+    return rotation_between(pole, np.array([0.0, 0.0, 1.0]))
+
+
 def _circulation(loop_pts: np.ndarray, rho: float, field, rot: np.ndarray | None):
     """2-point Gauss circulation of a field over a closed polygon."""
     a = loop_pts
-    b = np.roll(loop_pts, -1, axis=0)
+    b = _next(loop_pts)
     if rot is not None:
         a = a @ rot.T
         b = b @ rot.T
@@ -102,7 +115,7 @@ def _circulation_gradient(loop_pts: np.ndarray, rho: float, field, field_jac,
                           rot: np.ndarray | None) -> np.ndarray:
     """Gradient of the circulation with respect to each loop vertex."""
     a = loop_pts
-    b = np.roll(loop_pts, -1, axis=0)
+    b = _next(loop_pts)
     if rot is not None:
         a = a @ rot.T
         b = b @ rot.T
@@ -118,8 +131,10 @@ def _circulation_gradient(loop_pts: np.ndarray, rho: float, field, field_jac,
     ca1, ca2 = 0.5 + _GAUSS_OFF, 0.5 - _GAUSS_OFF
     grad_a = 0.5 * (ca1 * jte1 + ca2 * jte2) - half_sum
     grad_b = 0.5 * (ca2 * jte1 + ca1 * jte2) + half_sum
-    grad = grad_a.copy()
-    grad += np.roll(grad_b, 1, axis=0)
+    # vertex i is the end b of chord i - 1
+    grad = grad_a
+    grad[1:] += grad_b[:-1]
+    grad[0] += grad_b[-1]
     if rot is not None:
         grad = grad @ rot
     return grad
@@ -137,8 +152,9 @@ class WettingOperator:
     ``loops`` index into the owning mesh's vertex array; ``sign`` is the
     circulation orientation fixed at calibration time; ``side_sign`` is +1
     when the drop is inside the substrate ball (patch normal out of W points
-    out of the ball) and -1 outside.  Valid until the mesh connectivity
-    changes; rebuild after remeshing.
+    out of the ball) and -1 outside.  ``rot`` takes ``pole`` to +z (None if
+    it already is); it is computed once, on construction.  Valid until the
+    mesh connectivity changes; rebuild after remeshing.
     """
 
     sphere: Sphere
@@ -146,25 +162,22 @@ class WettingOperator:
     sign: float
     side_sign: float
     pole: np.ndarray
+    rot: np.ndarray | None = dataclass_field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         _require_origin_centered(self.sphere)
-
-    @property
-    def _rot(self) -> np.ndarray | None:
-        if abs(self.pole[2] - 1.0) < 1e-15:
-            return None
-        return rotation_between(self.pole, np.array([0.0, 0.0, 1.0]))
+        object.__setattr__(self, "rot", _pole_rotation(self.pole))
 
     def area(self, vertices: np.ndarray) -> float:
         rho = self.sphere.radius
-        rot = self._rot
+        rot = self.rot
         return self.sign * sum(
             _circulation(vertices[l], rho, _area_field, rot) for l in self.loops)
 
     def area_gradient(self, vertices: np.ndarray) -> np.ndarray:
         rho = self.sphere.radius
-        rot = self._rot
+        rot = self.rot
         grad = np.zeros_like(vertices)
         for l in self.loops:
             grad[l] += self.sign * _circulation_gradient(
@@ -203,7 +216,7 @@ class WettingOperator:
 
 def _loop_axis(pts: np.ndarray) -> np.ndarray:
     """Projected-area axis of a closed polygon; robust for great circles."""
-    axis = 0.5 * np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+    axis = 0.5 * cross3(pts, _next(pts)).sum(axis=0)
     n = np.linalg.norm(axis)
     if n < 1e-30:
         raise LoopsNotInHemisphereError(
@@ -247,8 +260,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
     sphere_area = 4.0 * math.pi * rho * rho
     best = None
     for pole in (base_pole, -base_pole):
-        rot = None if abs(pole[2] - 1.0) < 1e-15 else rotation_between(
-            pole, np.array([0.0, 0.0, 1.0]))
+        rot = _pole_rotation(pole)
         circ = sum(_circulation(mesh.vertices[l], rho, _area_field, rot)
                    for l in loops)
         a_est = sign * circ
@@ -281,42 +293,38 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
 # -- surface-side contributions (over the free-surface mesh itself) -----------
 
 
-def surface_volume_gradient(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def surface_volume_gradient(mesh: TriMesh) -> np.ndarray:
     """Gradient of the divergence-theorem volume sum over the mesh faces."""
-    a, b, c = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    grad = np.zeros_like(vertices)
-    np.add.at(grad, faces[:, 0], np.cross(b, c) / 6.0)
-    np.add.at(grad, faces[:, 1], np.cross(c, a) / 6.0)
-    np.add.at(grad, faces[:, 2], np.cross(a, b) / 6.0)
-    return grad
+    v, f = mesh.vertices, mesh.faces
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    return mesh.scatter(np.stack([cross3(b, c) / 6.0, cross3(c, a) / 6.0,
+                                  cross3(a, b) / 6.0]))
 
 
 def surface_z_moment(vertices: np.ndarray, faces: np.ndarray) -> float:
     """Flux of (0, 0, z^2/2) through the mesh: the surface part of the
     z-moment of the enclosed region."""
     a, b, c = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    avec_z = 0.5 * np.cross(b - a, c - a)[:, 2]
+    avec_z = 0.5 * cross3(b - a, c - a)[:, 2]
     za, zb, zc = a[:, 2], b[:, 2], c[:, 2]
     zsum = za * za + zb * zb + zc * zc + za * zb + za * zc + zb * zc
     return float(np.sum(avec_z * zsum) / 12.0)
 
 
-def surface_z_moment_gradient(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    a, b, c = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    avec_z = 0.5 * np.cross(b - a, c - a)[:, 2]
+def surface_z_moment_gradient(mesh: TriMesh) -> np.ndarray:
+    """Gradient of :func:`surface_z_moment` with respect to the vertices."""
+    v, f = mesh.vertices, mesh.faces
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    avec_z = 0.5 * cross3(b - a, c - a)[:, 2]
     za, zb, zc = a[:, 2], b[:, 2], c[:, 2]
     zsum = za * za + zb * zb + zc * zc + za * zb + za * zc + zb * zc
     zhat = np.array([0.0, 0.0, 1.0])
-    grad = np.zeros_like(vertices)
     # area-vector z-component varies with vertex positions ...
-    ga = 0.5 * np.cross(np.broadcast_to(zhat, c.shape), c - b) * zsum[:, None]
-    gb = 0.5 * np.cross(np.broadcast_to(zhat, c.shape), a - c) * zsum[:, None]
-    gc = 0.5 * np.cross(np.broadcast_to(zhat, c.shape), b - a) * zsum[:, None]
+    ga = 0.5 * cross3(zhat, c - b) * zsum[:, None]
+    gb = 0.5 * cross3(zhat, a - c) * zsum[:, None]
+    gc = 0.5 * cross3(zhat, b - a) * zsum[:, None]
     # ... and the z-quadratic varies through each vertex's z
     ga[:, 2] += avec_z * (2.0 * za + zb + zc)
     gb[:, 2] += avec_z * (2.0 * zb + za + zc)
     gc[:, 2] += avec_z * (2.0 * zc + za + zb)
-    np.add.at(grad, faces[:, 0], ga / 12.0)
-    np.add.at(grad, faces[:, 1], gb / 12.0)
-    np.add.at(grad, faces[:, 2], gc / 12.0)
-    return grad
+    return mesh.scatter(np.stack([ga / 12.0, gb / 12.0, gc / 12.0]))

@@ -10,7 +10,7 @@ from capdrop.errors import (
     OpenMeshError,
 )
 from capdrop.geometry import Plane, unit
-from capdrop.mesh import TriMesh, build_mesh, reflect
+from capdrop.mesh import TriMesh, build_mesh
 from capdrop.shapes import flat_annulus, flat_disk, icosphere
 
 TETRA_V = np.array([
@@ -153,7 +153,7 @@ def test_reflect_involution(nx, ny, nz, off):
         return
     plane = Plane(unit(n), off)
     m = icosphere(1)
-    back = reflect(reflect(m, plane), plane)
+    back = m.reflected(plane).reflected(plane)
     assert np.allclose(back.vertices, m.vertices, atol=1e-12)
     assert np.array_equal(back.faces, m.faces)
 
@@ -161,7 +161,7 @@ def test_reflect_involution(nx, ny, nz, off):
 def test_reflect_preserves_enclosed_volume():
     plane = Plane(unit(np.array([1.0, 1.0, 0.2])), 0.3)
     m = icosphere(2)
-    r = reflect(m, plane)
+    r = m.reflected(plane)
     # reflection reverses orientation; face order flip restores the winding
     assert r.enclosed_volume() == pytest.approx(m.enclosed_volume(), rel=1e-12)
 

@@ -176,8 +176,7 @@ def test_z_cubed_gradient_fd(bulge, rng):
 def test_surface_volume_gradient_fd(bulge, rng):
     drop, mesh, op = bulge
     w = fd_directional(mesh, mesh.divergence_volume,
-                       lambda: surface_volume_gradient(mesh.vertices,
-                                                       mesh.faces), rng)
+                       lambda: surface_volume_gradient(mesh), rng)
     assert w < 5e-7
 
 
@@ -185,5 +184,5 @@ def test_surface_z_moment_gradient_fd(bulge, rng):
     drop, mesh, op = bulge
     w = fd_directional(
         mesh, lambda: surface_z_moment(mesh.vertices, mesh.faces),
-        lambda: surface_z_moment_gradient(mesh.vertices, mesh.faces), rng)
+        lambda: surface_z_moment_gradient(mesh), rng)
     assert w < 5e-7
