@@ -189,7 +189,18 @@ def delaunay_profile(
         raise ValueError(
             f"seed (x0, psi0) has first integral {c_seed:.9g}, expected {c:.9g}")
 
+    # The axis event must not fire mid-turn at the neck of a near-sphere
+    # unduloid or nodoid, the narrowest radius the meridian turns at:
+    # x_neck = 2|c| / (1 + sqrt(1 - 4Hc)), from F = c at sin(psi) = sign(c).
+    # A neck above the floor is resolved, with the floor far below it; one
+    # too thin to resolve is treated as a pole, with the floor far above it,
+    # where sin(psi) ~ x_neck / x_floor reads as a regular touch.
     x_floor = 1e-9 * x0
+    x_neck = 2.0 * abs(c) / (1.0 + math.sqrt(max(1.0 - 4.0 * h * c, 0.0)))
+    if x_neck >= x_floor:
+        x_floor = 1e-9 * x_neck
+    elif x_neck > 1e-2 * x_floor:
+        x_floor = 1e2 * x_neck
 
     def axis_event(s, y, _h):
         return y[0] - x_floor

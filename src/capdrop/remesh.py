@@ -13,6 +13,15 @@ boundary polyline is left untouched (pinned boundaries).  Otherwise boundary
 edges may be split and collapsed like any others; when ``boundary_sphere``
 is given, boundary vertices created or moved by the cycle are projected back
 onto that sphere so a free boundary stays on its substrate.
+
+The cycle is deterministic: the same mesh and arguments give the same
+output, bit for bit.  Each pass visits edges in a fixed order (lengths
+sorted by ``np.argsort`` over the edges listed in order of first appearance
+over the live faces), faces are numbered in the order they are added, and
+the per-vertex face sets are edited in a fixed sequence, so set iteration
+picks the same face first every time.  The scalar tests run on Python
+floats; each is the same IEEE double operation it would be on numpy float64
+scalars, so every comparison has the same outcome.
 """
 
 from __future__ import annotations
@@ -54,20 +63,23 @@ def mean_edge_length(mesh: TriMesh) -> float:
 
 
 class _EditMesh:
-    """Mutable face soup with adjacency bookkeeping for local edits."""
+    """Mutable face soup with adjacency bookkeeping for local edits.
+
+    Positions are tuples of Python floats and faces tuples of Python ints:
+    the scalar tests of the edit loop run on them without numpy's per-scalar
+    overhead, and every one is the IEEE double operation it would be on
+    float64 scalars.  ``vfaces[u]`` holds the live faces around ``u``.
+    """
 
     def __init__(self, mesh: TriMesh):
-        self.v = [p.copy() for p in mesh.vertices]
-        self.faces = [tuple(f) for f in mesh.faces]
+        self.v = [tuple(p) for p in mesh.vertices.tolist()]
+        self.faces = [tuple(f) for f in mesh.faces.tolist()]
         self.alive = [True] * len(self.faces)
         self.vfaces = [set() for _ in self.v]
         for i, f in enumerate(self.faces):
             for u in f:
                 self.vfaces[u].add(i)
-        self.boundary = set()
-        for u, w in mesh.boundary_directed_edges:
-            self.boundary.add(int(u))
-            self.boundary.add(int(w))
+        self.boundary = set(mesh.boundary_directed_edges.ravel().tolist())
 
     def neighbors(self, u: int) -> set:
         out = set()
@@ -77,13 +89,10 @@ class _EditMesh:
         return out
 
     def edge_faces(self, u: int, w: int) -> list:
-        return [fi for fi in self.vfaces[u] & self.vfaces[w] if self.alive[fi]]
+        return list(self.vfaces[u] & self.vfaces[w])
 
-    def is_boundary_edge(self, u: int, w: int) -> bool:
-        return len(self.edge_faces(u, w)) == 1
-
-    def add_vertex(self, p: np.ndarray) -> int:
-        self.v.append(np.asarray(p, dtype=float))
+    def add_vertex(self, p: tuple) -> int:
+        self.v.append(p)
         self.vfaces.append(set())
         return len(self.v) - 1
 
@@ -100,19 +109,22 @@ class _EditMesh:
         for u in self.faces[fi]:
             self.vfaces[u].discard(fi)
 
-    def undirected_edges(self) -> list:
-        seen = set()
-        out = []
-        for fi, f in enumerate(self.faces):
-            if not self.alive[fi]:
-                continue
-            for k in range(3):
-                u, w = f[k], f[(k + 1) % 3]
-                key = (u, w) if u < w else (w, u)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        return out
+    def live_faces(self) -> np.ndarray:
+        faces = np.array(self.faces, dtype=np.int64).reshape(-1, 3)
+        return faces[np.array(self.alive, dtype=bool)]
+
+    def undirected_edges(self) -> np.ndarray:
+        """(k, 2) array of each live edge once as (low, high), in order of
+        first appearance over the live faces and their corners.  The passes
+        sort edges with the unstable ``np.argsort``, so ties follow this
+        order."""
+        f = self.live_faces()
+        e = np.stack([f, np.roll(f, -1, axis=1)], axis=2).reshape(-1, 2)
+        e.sort(axis=1)
+        _, first = np.unique(e[:, 0] * len(self.v) + e[:, 1],
+                             return_index=True)
+        first.sort()
+        return e[first]
 
     def face_quality(self, f: tuple) -> float:
         # scalar arithmetic: called hundreds of thousands of times per pass
@@ -135,18 +147,22 @@ class _EditMesh:
         return (uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx)
 
     def compact(self) -> TriMesh:
-        faces = [f for fi, f in enumerate(self.faces) if self.alive[fi]]
-        used = sorted({u for f in faces for u in f})
-        remap = {u: i for i, u in enumerate(used)}
-        verts = np.array([self.v[u] for u in used])
-        tri = np.array([[remap[u] for u in f] for f in faces], dtype=np.int64)
-        return build_mesh(verts, tri)
+        used, tri = np.unique(self.live_faces(), return_inverse=True)
+        verts = np.array(self.v, dtype=np.float64)[used]
+        return build_mesh(verts, tri.reshape(-1, 3))
 
 
-def _edge_lengths(em: _EditMesh, edges: list) -> np.ndarray:
-    V = np.asarray(em.v)
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return np.linalg.norm(V[e[:, 0]] - V[e[:, 1]], axis=1)
+def _mid(p: tuple, q: tuple) -> tuple:
+    return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]), 0.5 * (p[2] + q[2]))
+
+
+def _project(sphere, p: tuple) -> tuple:
+    return tuple(sphere.project(np.array([p]))[0].tolist())
+
+
+def _edge_lengths(em: _EditMesh, edges: np.ndarray) -> np.ndarray:
+    V = np.array(em.v, dtype=np.float64)
+    return np.linalg.norm(V[edges[:, 0]] - V[edges[:, 1]], axis=1)
 
 
 def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
@@ -154,9 +170,10 @@ def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
     edges = em.undirected_edges()
     lengths = _edge_lengths(em, edges)
     order = np.argsort(lengths)[::-1]
+    edges, lengths = edges.tolist(), lengths.tolist()
     dirty = set()
     n_split = 0
-    for k in order:
+    for k in order.tolist():
         if lengths[k] <= high:
             break
         u, w = edges[k]
@@ -166,15 +183,14 @@ def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
         on_boundary = len(fids) == 1
         if on_boundary and preserve_boundary:
             continue
-        mid = 0.5 * (em.v[u] + em.v[w])
+        mid = _mid(em.v[u], em.v[w])
         if on_boundary and sphere is not None:
-            mid = sphere.project(mid[None, :])[0]
+            mid = _project(sphere, mid)
         m = em.add_vertex(mid)
         if on_boundary:
             em.boundary.add(m)
         for fi in fids:
             f = em.faces[fi]
-            i = f.index(u)
             # rotate so the split edge is (f[0], f[1]) in winding order
             for _ in range(3):
                 if {f[0], f[1]} == {u, w}:
@@ -187,17 +203,15 @@ def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
     return n_split
 
 
-def _collapse_ok(em: _EditMesh, u: int, w: int, pos: np.ndarray,
+def _collapse_ok(em: _EditMesh, u: int, w: int, pos: tuple,
                  high: float, floor: float) -> bool:
-    """Check link condition and post-collapse geometry for collapsing w into u."""
+    """Check post-collapse geometry and link condition for collapsing w into
+    u.  Both checks are pure; the geometry goes first because it rejects
+    almost every candidate a cycle meets."""
     fids = em.edge_faces(u, w)
-    opposite = {x for fi in fids for x in em.faces[fi]} - {u, w}
-    common = em.neighbors(u) & em.neighbors(w)
-    if common != opposite:
-        return False
     high2 = high * high
     for fi in (em.vfaces[u] | em.vfaces[w]):
-        if not em.alive[fi] or fi in fids:
+        if fi in fids:
             continue
         f = em.faces[fi]
         new_f = tuple(u if x == w else x for x in f)
@@ -220,7 +234,8 @@ def _collapse_ok(em: _EditMesh, u: int, w: int, pos: np.ndarray,
             return False
         if dot < 0.2 * nn:
             return False
-    return True
+    opposite = {x for fi in fids for x in em.faces[fi]} - {u, w}
+    return em.neighbors(u) & em.neighbors(w) == opposite
 
 
 def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
@@ -228,9 +243,10 @@ def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
     edges = em.undirected_edges()
     lengths = _edge_lengths(em, edges)
     order = np.argsort(lengths)
+    edges, lengths = edges.tolist(), lengths.tolist()
     dirty_verts = set()
     n_collapsed = 0
-    for k in order:
+    for k in order.tolist():
         if lengths[k] >= low:
             break
         u, w = edges[k]
@@ -242,26 +258,24 @@ def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
         ub, wb = u in em.boundary, w in em.boundary
         if preserve_boundary and (ub or wb):
             continue
-        if ub and wb and not em.is_boundary_edge(u, w):
+        if ub and wb and len(fids) != 1:
             continue  # interior chord between boundary vertices: would pinch
         # keep the boundary vertex; collapse the interior one into it
         if wb and not ub:
             u, w = w, u
             ub, wb = wb, ub
         if ub and wb:
-            pos = 0.5 * (em.v[u] + em.v[w])
+            pos = _mid(em.v[u], em.v[w])
             if sphere is not None:
-                pos = sphere.project(pos[None, :])[0]
+                pos = _project(sphere, pos)
         elif ub:
-            pos = em.v[u].copy()
+            pos = em.v[u]
         else:
-            pos = 0.5 * (em.v[u] + em.v[w])
+            pos = _mid(em.v[u], em.v[w])
         if not _collapse_ok(em, u, w, pos, high, floor):
             continue
         em.v[u] = pos
         for fi in list(em.vfaces[w]):
-            if not em.alive[fi]:
-                continue
             f = em.faces[fi]
             em.drop_face(fi)
             if u not in f:
@@ -274,27 +288,26 @@ def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
 
 
 def _flip_pass(em: _EditMesh, floor: float) -> int:
+    edges = em.undirected_edges()
+    # valence = number of distinct neighbours; each live edge is listed once,
+    # and a flip changes exactly four of them (u, w lose one; a, b gain one)
+    valence = np.bincount(edges.ravel(), minlength=len(em.v)).tolist()
     n_flipped = 0
-    for u, w in em.undirected_edges():
+    for u, w in edges.tolist():
         fids = em.edge_faces(u, w)
         if len(fids) != 2:
             continue
         f1, f2 = em.faces[fids[0]], em.faces[fids[1]]
-        a = next(x for x in f1 if x not in (u, w))
-        b = next(x for x in f2 if x not in (u, w))
-        if a == b:
-            continue
-        nb_a = em.neighbors(a)
-        if b in nb_a:
+        # the apex is the corner that is neither u nor w
+        a = f1[0] + f1[1] + f1[2] - u - w
+        b = f2[0] + f2[1] + f2[2] - u - w
+        if a == b or not em.vfaces[a].isdisjoint(em.vfaces[b]):
             continue
         tu = 4 if u in em.boundary else 6
         tw = 4 if w in em.boundary else 6
         ta = 4 if a in em.boundary else 6
         tb = 4 if b in em.boundary else 6
-        vu = len(em.neighbors(u))
-        vw = len(em.neighbors(w))
-        va = len(nb_a)
-        vb = len(em.neighbors(b))
+        vu, vw, va, vb = valence[u], valence[w], valence[a], valence[b]
         before = ((vu - tu) ** 2 + (vw - tw) ** 2
                   + (va - ta) ** 2 + (vb - tb) ** 2)
         after = ((vu - 1 - tu) ** 2 + (vw - 1 - tw) ** 2
@@ -321,6 +334,10 @@ def _flip_pass(em: _EditMesh, floor: float) -> int:
         em.drop_face(fids[1])
         em.add_face(nf1)
         em.add_face(nf2)
+        valence[u] -= 1
+        valence[w] -= 1
+        valence[a] += 1
+        valence[b] += 1
         n_flipped += 1
     return n_flipped
 

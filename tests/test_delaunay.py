@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capdrop.delaunay import (
@@ -82,6 +82,8 @@ def test_first_integral_drift_long_run():
 
 @settings(max_examples=12, deadline=None)
 @given(h=st.floats(0.1, 2.0), q=st.floats(-1.0, 0.95))
+@example(h=1.0, q=1e-9)
+@example(h=1.0, q=-1e-9)
 def test_first_integral_conserved_property(h, q):
     # q parametrizes c through 4hc = q, keeping away from the degenerate line
     c = q / (4.0 * h)
