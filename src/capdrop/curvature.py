@@ -38,27 +38,17 @@ JET_MIN_SAMPLES = 12
 
 
 def _face_cotangents(mesh: TriMesh) -> np.ndarray:
-    """Per-face cotangents of the angle at each corner, clamped to +-1e6.
-
-    Kept with the mesh's position-dependent caches, so the Laplacian, the
-    Voronoi areas and the area gradient at one position share one
-    computation; the result is read-only.
-    """
-    cots = mesh._cache.get("face_cotangents")
-    if cots is None:
-        v = mesh.vertices
-        f = mesh.faces
-        cots = np.empty((len(f), 3))
-        for k in range(3):
-            a = v[f[:, (k + 1) % 3]] - v[f[:, k]]
-            b = v[f[:, (k + 2) % 3]] - v[f[:, k]]
-            cross = np.linalg.norm(cross3(a, b), axis=1)
-            dot = np.einsum("ij,ij->i", a, b)
-            cots[:, k] = dot / np.maximum(cross, 1e-300)
-        cots = np.clip(cots, -_COT_CLAMP, _COT_CLAMP)
-        cots.flags.writeable = False
-        mesh._cache["face_cotangents"] = cots
-    return cots
+    """Per-face cotangents of the angle at each corner, clamped to +-1e6."""
+    v = mesh.vertices
+    f = mesh.faces
+    cots = np.empty((len(f), 3))
+    for k in range(3):
+        a = v[f[:, (k + 1) % 3]] - v[f[:, k]]
+        b = v[f[:, (k + 2) % 3]] - v[f[:, k]]
+        cross = np.linalg.norm(cross3(a, b), axis=1)
+        dot = np.einsum("ij,ij->i", a, b)
+        cots[:, k] = dot / np.maximum(cross, 1e-300)
+    return np.clip(cots, -_COT_CLAMP, _COT_CLAMP)
 
 
 # scatter blocks of the edge terms: for corner k, the two ends (k+1, k+2) of

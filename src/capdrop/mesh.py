@@ -9,7 +9,7 @@ degenerate faces.  Boundary edges must chain into disjoint simple closed
 loops.
 
 Derived quantities are cached in two dicts.  Position-dependent ones (face
-areas, normals, corner cotangents) belong to one mesh and are dropped by
+areas, normals) belong to one mesh and are dropped by
 ``invalidate_geometry``.  Connectivity ones (edges, boundary loops,
 adjacency, scatter matrices) live in a topology dict that
 ``with_vertices`` hands to the new mesh by reference, so a cache built on

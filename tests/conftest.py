@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from capdrop.geometry import Sphere
-
-# CI has no example database, so a failing draw is printed as a blob that
-# @reproduce_failure replays locally
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

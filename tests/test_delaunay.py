@@ -84,6 +84,7 @@ def test_first_integral_drift_long_run():
 @given(h=st.floats(0.1, 2.0), q=st.floats(-1.0, 0.95))
 @example(h=1.0, q=1e-9)
 @example(h=1.0, q=-1e-9)
+@example(h=1.0, q=4e-9)
 def test_first_integral_conserved_property(h, q):
     # q parametrizes c through 4hc = q, keeping away from the degenerate line
     c = q / (4.0 * h)
