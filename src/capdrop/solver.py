@@ -17,6 +17,18 @@ Three modes share the engine.  ``dirichlet_cmc`` pins the boundary polyline
 and drops the wetting terms; ``capillary`` lets boundary vertices slide
 tangentially on the substrate sphere; ``prescribed_height_curvature`` adds
 the kappa term and requires the boundary in the upper open hemisphere.
+The three ``solve_*`` entry points check their own arguments and then take
+one shared path: a fixed volume runs the flow once, a curvature target runs
+a secant on the volume around it.
+
+``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
+``substrate`` (both required outside ``dirichlet_cmc``), ``max_iterations``,
+``remesh_every`` (0 turns off the periodic remesh, the smoothing-length
+annealing and the early measured stop; a remesh still runs when quality
+demands it) and ``diagnostics_path`` (one JSON line per flow step).  Step
+sizes, tolerances and the quality floor are the module constants below; the
+remesher's target edge length and the starting Sobolev length come from the
+init mesh.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -25,6 +37,7 @@ equals that H at an equilibrium with kappa = 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,7 +64,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "FlowState",
-    "energy",
     "init_flow_state",
     "flow_step",
     "solve_dirichlet_cmc",
@@ -62,6 +74,17 @@ __all__ = [
 MODES = ("dirichlet_cmc", "capillary", "prescribed_height_curvature")
 
 
+# fixed knobs of the flow
+INITIAL_STEP = 1.0
+BACKTRACK_FACTOR = 0.5
+MIN_STEP = 1e-14
+GRAD_TOL_FACTOR = 1e-8         # stop when |proj grad| <= factor * area
+H_DEV_FACTOR = 1e-3            # H constancy: factor * (|H| + H scale)
+ANGLE_TOL = math.radians(1.0)
+MULTIPLIER_TOL_FACTOR = 5e-4   # curvature targets: factor * (|H| + H scale)
+QUALITY_FLOOR = 0.08           # a step below this quality asks for a remesh
+
+
 @dataclass
 class SolveConfig:
     """Knobs of one solve; every field has a sane default except ``mode``."""
@@ -70,17 +93,7 @@ class SolveConfig:
     params: CapillaryParams | None = None
     substrate: Sphere | None = None
     max_iterations: int = 2000
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-14
-    grad_tol_factor: float = 1e-8      # stop when |proj grad| <= factor * area
-    h_dev_factor: float = 1e-3         # H constancy: factor * (|H| + H scale)
-    angle_tol: float = math.radians(1.0)
-    multiplier_tol: float | None = None  # curvature-target mode; None = derived
     remesh_every: int = 25
-    target_edge_length: float | None = None
-    quality_floor: float = 0.08
-    sobolev_length: float | None = None  # None = quarter of the bbox diagonal
     diagnostics_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -88,12 +101,6 @@ class SolveConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("initial_step", "backtrack_factor", "grad_tol_factor",
-                     "h_dev_factor", "angle_tol", "quality_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.mode != "dirichlet_cmc":
             if self.substrate is None:
                 raise ValueError(f"{self.mode} mode needs a substrate sphere")
@@ -152,30 +159,6 @@ class FlowState:
     disp_since_remesh: float = math.inf
     _precond: object = None
     _precond_stale: float = math.inf
-
-
-# --------------------------------------------------------------------------
-# energy
-
-
-def energy(mesh: TriMesh, region=None, sphere: Sphere | None = None,
-           gamma: float = math.pi / 2.0) -> float:
-    """Interfacial energy area(S) - cos(gamma) * wetted area.
-
-    The wetted area comes from ``region`` (a ClosedRegion) when given, else
-    from line integrals over the boundary loops when ``sphere`` is given,
-    else it is zero (plain area).
-    """
-    base = mesh.surface_area()
-    cosg = math.cos(gamma)
-    if cosg == 0.0 or (region is None and sphere is None):
-        return base
-    if region is not None:
-        wet = region.patch_area()
-    else:
-        op = make_wetting_operator(mesh, sphere)
-        wet = op.area(mesh.vertices)
-    return base - cosg * wet
 
 
 # The functionals below evaluate at the positions of the mesh they are given;
@@ -330,21 +313,18 @@ def _preconditioner(m: TriMesh, state: FlowState):
 # diagnostics helpers
 
 
-def _cheap_h_stats(g: np.ndarray, c: np.ndarray, interior: np.ndarray):
-    """Equilibrium constancy estimate from the assembled gradients.
+def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
+                          interior: np.ndarray):
+    """Variational curvature estimate from the assembled gradients.
 
     For interior vertices the energy gradient is 2(H - kappa z) m n and the
     volume gradient is m n, so their pointwise ratio is constant at any
-    equilibrium of any mode (it equals the multiplier).  Returns (mean,
-    max deviation from mean) of that ratio.
+    equilibrium of any mode (it equals the multiplier).  Returns that ratio
+    and the mask, over the interior vertices, where it is defined.
     """
     cn2 = (c[interior] ** 2).sum(1)
     ok = cn2 > 1e-300
-    q = (g[interior][ok] * c[interior][ok]).sum(1) / (2.0 * cn2[ok])
-    if q.size == 0:
-        return math.nan, math.nan
-    mean = float(q.mean())
-    return mean, float(np.abs(q - mean).max())
+    return (g[interior][ok] * c[interior][ok]).sum(1) / (2.0 * cn2[ok]), ok
 
 
 def _cheap_angle_stats(m: TriMesh, state: FlowState):
@@ -387,12 +367,10 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
         pinned=pinned,
         free_boundary=not dirichlet,
         side_sign=side_sign,
-        target_edge=(config.target_edge_length
-                     or mean_edge_length(mesh)),
-        sobolev_alpha=(config.sobolev_length
-                       or 0.25 * mesh.bbox_diagonal()) ** 2,
+        target_edge=mean_edge_length(mesh),
+        sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
         alpha_floor=0.0,
-        step=config.initial_step,
+        step=INITIAL_STEP,
     )
     # the smoothing length anneals down to a couple of edge lengths once
     # coarse-scale progress stalls; never above the starting value
@@ -428,20 +406,20 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     state.multiplier_history.append(state.multiplier)
 
     interior = ~mesh.boundary_vertex_mask
-    mean_h, max_h_dev = _cheap_h_stats(g, c, interior)
+    q, _ = _pointwise_multiplier(g, c, interior)
     diag = {
         "iteration": state.iteration,
         "energy": e0,
         "volume": v0,
         "multiplier": state.multiplier,
-        "maxHdev": max_h_dev,
+        "maxHdev": float(np.abs(q - q.mean()).max()) if q.size else math.nan,
         "maxAngleDev": _cheap_angle_stats(mesh, state),
         "gradNorm": grad_norm,
         "step": 0.0,
         "displacement": 0.0,
         "sideViolations": 0,
     }
-    if grad_norm <= config.grad_tol_factor * area:
+    if grad_norm <= GRAD_TOL_FACTOR * area:
         state.iteration += 1
         state.last_energy = e0
         return mesh, diag
@@ -466,7 +444,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
 
     # guard against absurd first trials; Armijo handles the rest
     d_max = float(np.linalg.norm(d, axis=1).max())
-    t = min(config.initial_step, state.step / config.backtrack_factor,
+    t = min(INITIAL_STEP, state.step / BACKTRACK_FACTOR,
             2.0 * state.target_edge / max(d_max, 1e-300))
     if state.iteration % 5 == 4:
         # a step parked at the line-search optimum leaves transverse modes
@@ -474,7 +452,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         # them hard at negligible cost to the slow directions
         t = min(t, 0.5 * state.step)
     accepted = None
-    while t >= config.min_step:
+    while t >= MIN_STEP:
         x = _snap_boundary(x0 + t * d, mesh, state)
         m, ok = _restore_volume(mesh.with_vertices(x), state)
         if ok:
@@ -482,10 +460,10 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
             if e_t <= e0 + 1e-4 * t * slope:
                 accepted = (m, e_t, v_t, t)
                 break
-        t *= config.backtrack_factor
+        t *= BACKTRACK_FACTOR
     if accepted is None:
         raise StepCollapseError(
-            f"line search failed below step {config.min_step:g} "
+            f"line search failed below step {MIN_STEP:g} "
             f"(grad norm {grad_norm:.3e})")
 
     m, e_t, v_t, t = accepted
@@ -523,7 +501,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         state.side_violation_streak = (state.side_violation_streak + 1
                                        if violations else 0)
 
-    if min_quality(m) < config.quality_floor:
+    if min_quality(m) < QUALITY_FLOOR:
         state.needs_remesh = True
 
     disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
@@ -545,8 +523,7 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
     new, _ = _remesh_with_stats(
         mesh, state.target_edge,
         preserve_boundary_edges=dirichlet,
-        boundary_sphere=None if dirichlet else state.substrate,
-        quality_floor=min(0.05, config.quality_floor))
+        boundary_sphere=None if dirichlet else state.substrate)
     if new is mesh:
         state.needs_remesh = False
         return mesh, state
@@ -654,7 +631,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             raise SolverError(
                 "energy increased across an accepted step; this is a bug")
         prev_e = diag["energy"]
-        if grad_norm <= config.grad_tol_factor * area:
+        if grad_norm <= GRAD_TOL_FACTOR * area:
             stop = "gradient"
             break
         recent.append(diag["energy"])
@@ -692,9 +669,7 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
     x = mesh.vertices
     g, c = _gradients(mesh, state)
     interior = ~mesh.boundary_vertex_mask
-    cn2 = (c[interior] ** 2).sum(1)
-    ok = cn2 > 1e-300
-    q = (g[interior][ok] * c[interior][ok]).sum(1) / (2.0 * cn2[ok])
+    q, ok = _pointwise_multiplier(g, c, interior)
     if q.size == 0:
         q_mean, h_dev, h_mean = math.nan, math.nan, math.nan
     else:
@@ -707,14 +682,14 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
         else:
             h_dev = float(np.abs(q - q_mean).max())
             h_mean = q_mean
-    h_tol = config.h_dev_factor * (abs(h_mean) + _h_scale(state, mesh))
+    h_tol = H_DEV_FACTOR * (abs(h_mean) + _h_scale(state, mesh))
     passed = h_dev <= h_tol
     angle_mean = angle_dev = None
     if state.free_boundary:
         rep = contact_angle(mesh, state.substrate, side=config.params.side)
         angle_mean = rep.mean
         angle_dev = rep.max_deviation
-        passed = passed and angle_dev <= config.angle_tol
+        passed = passed and angle_dev <= ANGLE_TOL
     return {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
             "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
 
@@ -750,9 +725,7 @@ def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
 def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
                  target: float, sink) -> tuple[TriMesh, dict]:
     """Outer secant on the volume target until lambda/2 matches ``target``."""
-    tol = config.multiplier_tol
-    if tol is None:
-        tol = 5e-4 * (abs(target) + _h_scale(state, mesh))
+    tol = MULTIPLIER_TOL_FACTOR * (abs(target) + _h_scale(state, mesh))
     inner = max(50, config.max_iterations // 10)
     total = 0
     v_prev = m_prev = None
@@ -780,10 +753,36 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
     return mesh, info
 
 
-def _open_sink(config: SolveConfig):
-    if config.diagnostics_path is None:
-        return None
-    return open(config.diagnostics_path, "w")
+def _config_for(mode: str, config: SolveConfig | None,
+                sphere: Sphere | None = None,
+                params: CapillaryParams | None = None) -> SolveConfig:
+    """The config a solve in ``mode`` runs with: the caller's, checked
+    against the mode, or the default one."""
+    if config is None:
+        return SolveConfig(mode=mode, params=params, substrate=sphere)
+    if config.mode != mode:
+        raise ValueError(f"config.mode must be {mode!r}")
+    return config
+
+
+def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
+           target_curvature: float | None) -> tuple[TriMesh, SolveReport]:
+    """The path every solve takes once its arguments are checked: a fixed
+    volume runs the flow once, a curvature target runs the volume tuner
+    around it."""
+    state = init_flow_state(init, config, volume_target=target_volume)
+    with (contextlib.nullcontext() if config.diagnostics_path is None
+          else open(config.diagnostics_path, "w")) as sink:
+        if target_curvature is None:
+            mesh, info = _run_flow(init, config, state, sink)
+        else:
+            mesh, info = _tune_volume(init, config, state, target_curvature,
+                                      sink)
+    # only the height-law mode reads the law constant: the target when one
+    # is set, else the multiplier the flow ended on
+    mu_for_law = (state.multiplier if target_curvature is None
+                  else target_curvature)
+    return mesh, _final_report(mesh, config, state, info, mu_for_law)
 
 
 # --------------------------------------------------------------------------
@@ -803,10 +802,7 @@ def solve_dirichlet_cmc(boundary: np.ndarray, init: TriMesh,
     The init mesh must have ``boundary`` as its boundary vertex set; those
     vertices never move.
     """
-    if config is None:
-        config = SolveConfig(mode="dirichlet_cmc")
-    if config.mode != "dirichlet_cmc":
-        raise ValueError("config.mode must be 'dirichlet_cmc'")
+    config = _config_for("dirichlet_cmc", config)
     if (target_volume is None) == (target_mean_curvature is None):
         raise ValueError(
             "exactly one of target_volume / target_mean_curvature is required")
@@ -821,19 +817,7 @@ def solve_dirichlet_cmc(boundary: np.ndarray, init: TriMesh,
     if math.sqrt(float(d2.min(axis=1).max())) > 1e-8 * scale:
         raise ValueError("init mesh boundary does not lie on the prescribed "
                          "curve; the init mesh must span it")
-
-    state = init_flow_state(init, config, volume_target=target_volume)
-    sink = _open_sink(config)
-    try:
-        if target_volume is not None:
-            mesh, info = _run_flow(init, config, state, sink)
-            return mesh, _final_report(mesh, config, state, info)
-        mesh, info = _tune_volume(init, config, state,
-                                  target_mean_curvature, sink)
-        return mesh, _final_report(mesh, config, state, info)
-    finally:
-        if sink is not None:
-            sink.close()
+    return _solve(init, config, target_volume, target_mean_curvature)
 
 
 def _exterior_drop_at(rho: float, theta: float, gamma: float):
@@ -916,25 +900,10 @@ def solve_capillary(sphere: Sphere, params: CapillaryParams,
     multiplier (= mean curvature) matches.
     """
     _require_origin_centered(sphere)
-    if config is None:
-        config = SolveConfig(mode="capillary", params=params, substrate=sphere)
-    if config.mode != "capillary":
-        raise ValueError("config.mode must be 'capillary'")
+    config = _config_for("capillary", config, sphere, params)
     if init is None:
         init = _default_capillary_init(sphere, params)
-    state = init_flow_state(init, config,
-                            volume_target=params.target_volume)
-    sink = _open_sink(config)
-    try:
-        if params.target_volume is not None:
-            mesh, info = _run_flow(init, config, state, sink)
-        else:
-            mesh, info = _tune_volume(init, config, state,
-                                      params.target_curvature, sink)
-        return mesh, _final_report(mesh, config, state, info)
-    finally:
-        if sink is not None:
-            sink.close()
+    return _solve(init, config, params.target_volume, params.target_curvature)
 
 
 def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
@@ -952,29 +921,11 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
     if params.kappa <= 0.0:
         raise ValueError("prescribed height-curvature mode requires kappa > 0")
     _require_origin_centered(sphere)
-    if config is None:
-        config = SolveConfig(mode="prescribed_height_curvature",
-                             params=params, substrate=sphere)
-    if config.mode != "prescribed_height_curvature":
-        raise ValueError("config.mode must be 'prescribed_height_curvature'")
+    config = _config_for("prescribed_height_curvature", config, sphere, params)
     if init is None:
         init = _default_capillary_init(sphere, params)
     bz = init.vertices[init.boundary_vertex_mask, 2]
     if not (bz > 1e-12 * sphere.radius).all():
         raise ValueError("the boundary must lie in the upper open hemisphere "
                          "of the substrate")
-    state = init_flow_state(init, config,
-                            volume_target=params.target_volume)
-    sink = _open_sink(config)
-    try:
-        if params.target_volume is not None:
-            mesh, info = _run_flow(init, config, state, sink)
-            mu_law = state.multiplier
-        else:
-            mesh, info = _tune_volume(init, config, state,
-                                      params.target_curvature, sink)
-            mu_law = params.target_curvature
-        return mesh, _final_report(mesh, config, state, info, mu_for_law=mu_law)
-    finally:
-        if sink is not None:
-            sink.close()
+    return _solve(init, config, params.target_volume, params.target_curvature)
