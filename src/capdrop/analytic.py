@@ -377,9 +377,10 @@ def exterior_drop_cap(rho: float, carrier_center_height: float,
 class CapillaryParams:
     """Parameters of a capillary equilibrium problem.
 
-    gamma is the contact angle in radians; kappa and mu define the
+    gamma is the contact angle in radians; kappa is the slope of the
     prescribed curvature law H = kappa z + mu used by the height-dependent
-    solver mode (kappa = 0 means uniform curvature); side selects whether
+    solver mode (kappa = 0 means uniform curvature); its constant mu is set
+    by target_curvature or emerges from the solve.  side selects whether
     the drop lives inside or outside the substrate ball.  Exactly one of
     target_volume / target_curvature must be set: the former fixes the
     enclosed volume, the latter asks the solver to tune the volume until
@@ -388,7 +389,6 @@ class CapillaryParams:
 
     gamma: float
     kappa: float = 0.0
-    mu: float = 0.0
     side: str = "interior"
     target_volume: float | None = None
     target_curvature: float | None = None

@@ -248,7 +248,10 @@ def _restore_volume(m: TriMesh, state: FlowState, rel_tol: float = 1e-12,
                     max_iter: int = 30) -> tuple[TriMesh, bool]:
     """Newton correction along the smoothed volume-gradient field; returns
     the corrected mesh and whether the constraint was met.  The volume
-    gradient taken for the direction serves the first Newton iteration."""
+    gradient taken for the direction serves the first Newton iteration.
+
+    A free boundary moves along tangents of the substrate, which leave it
+    at second order, so every iterate is snapped back onto it."""
     scale = max(1.0, abs(state.volume_target))
     c = _volume_gradient(m, state)
     u = _restore_direction(m, c, state)
@@ -261,7 +264,8 @@ def _restore_volume(m: TriMesh, state: FlowState, rel_tol: float = 1e-12,
         denom = float((c * u).sum())
         if denom <= 0.0:
             return m, False
-        m = m.with_vertices(m.vertices + (r / denom) * u)
+        m = m.with_vertices(
+            _snap_boundary(m.vertices + (r / denom) * u, m, state))
         c = None
     return m, False
 
@@ -615,7 +619,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         elif cadence and steps >= 2 * config.remesh_every:
             # the mesh has settled; see if the measured physics already
             # passes before grinding out the last tangential modes
-            if _measured_ok(mesh, config, state):
+            if _measure(mesh, config, state)["pass"]:
                 stop = "measured"
                 break
         try:
@@ -694,13 +698,6 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
             "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
 
 
-def _measured_ok(mesh: TriMesh, config: SolveConfig, state: FlowState) -> bool:
-    try:
-        return _measure(mesh, config, state)["pass"]
-    except Exception:
-        return False
-
-
 def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
                   info: dict, mu_for_law: float | None = None) -> SolveReport:
     e, vol = _energy_volume(mesh, state)
@@ -724,7 +721,10 @@ def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
 
 def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
                  target: float, sink) -> tuple[TriMesh, dict]:
-    """Outer secant on the volume target until lambda/2 matches ``target``."""
+    """Outer secant on the volume target until lambda/2 matches ``target``.
+
+    A solve that ends with the multiplier off the target stops on a message
+    naming the missed target, not on what the last inner flow stopped on."""
     tol = MULTIPLIER_TOL_FACTOR * (abs(target) + _h_scale(state, mesh))
     inner = max(50, config.max_iterations // 10)
     total = 0
@@ -742,7 +742,7 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
         m_cur = state.multiplier
         if abs(m_cur - target) <= tol and info["stop"] != "budget":
             info["stop"] = "gradient"
-            break
+            return mesh, info
         if m_prev is None or m_cur == m_prev:
             v_next = v_cur * (1.06 if m_cur < target else 1.0 / 1.06)
         else:
@@ -750,6 +750,10 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
             v_next = min(max(v_next, 0.4 * v_cur), 2.5 * v_cur)
         v_prev, m_prev = v_cur, m_cur
         v_cur = v_next
+    if not abs(state.multiplier - target) <= tol:
+        info["stop"] = (f"missed curvature target {target:.6g}: multiplier "
+                        f"{state.multiplier:.6g} after inner stop "
+                        f"{info['stop']!r}")
     return mesh, info
 
 
@@ -757,11 +761,24 @@ def _config_for(mode: str, config: SolveConfig | None,
                 sphere: Sphere | None = None,
                 params: CapillaryParams | None = None) -> SolveConfig:
     """The config a solve in ``mode`` runs with: the caller's, checked
-    against the mode, or the default one."""
+    against the mode and the solver's arguments, or the default one.
+
+    The flow reads the substrate and parameters from the config, so a config
+    that disagrees with the arguments would solve another problem than the
+    one whose init was built and whose substrate was checked.
+    """
     if config is None:
         return SolveConfig(mode=mode, params=params, substrate=sphere)
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
+    if mode != "dirichlet_cmc":
+        if config.params != params:
+            raise ValueError("config.params differs from the params argument")
+        # not Sphere ==, which raises on the ndarray centres
+        sub = config.substrate
+        if not (sub.radius == sphere.radius
+                and np.array_equal(sub.center, sphere.center)):
+            raise ValueError("config.substrate differs from the sphere argument")
     return config
 
 
@@ -870,7 +887,7 @@ def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
                     lo = mid
                 else:
                     hi = mid
-            except Exception:
+            except DegenerateConfigurationError:
                 lo = mid
         drop = drop_at(0.5 * (lo + hi))
     else:
@@ -879,7 +896,7 @@ def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
         for theta in np.linspace(0.08, math.pi - 0.08, 120):
             try:
                 d = drop_at(theta)
-            except Exception:
+            except DegenerateConfigurationError:
                 continue
             err = abs(d.carrier.radius - target_r)
             if err < best_err:

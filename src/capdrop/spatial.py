@@ -1,15 +1,10 @@
 """Spatial queries: winding numbers, point-to-surface distance, ray counting.
 
 These kernels serve the containment tests.  They are vectorized over
-chunks; the chunk loop can fan out over a thread pool sized by
-:func:`set_threads` (numpy releases the GIL on the large einsum/reduction
-calls that dominate).
+chunks of query points.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -17,29 +12,9 @@ from scipy.spatial import cKDTree
 from .mesh import TriMesh
 
 __all__ = [
-    "set_threads", "get_threads", "winding_numbers", "point_mesh_distance",
-    "ray_hit_counts", "MeshDistanceQuery",
+    "winding_numbers", "point_mesh_distance", "ray_hit_counts",
+    "MeshDistanceQuery",
 ]
-
-_THREADS = max(1, int(os.environ.get("CAPDROP_THREADS", "1") or 1))
-
-
-def set_threads(n: int) -> None:
-    """Set the worker count for chunked spatial kernels (>= 1)."""
-    global _THREADS
-    _THREADS = max(1, int(n))
-
-
-def get_threads() -> int:
-    return _THREADS
-
-
-def _run_chunks(func, n_items: int, chunk: int):
-    starts = list(range(0, n_items, chunk))
-    if len(starts) <= 1 or _THREADS == 1:
-        return [func(s, min(s + chunk, n_items)) for s in starts]
-    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        return list(pool.map(lambda s: func(s, min(s + chunk, n_items)), starts))
 
 
 def winding_numbers(points: np.ndarray, mesh: TriMesh, chunk: int = 512) -> np.ndarray:
@@ -68,8 +43,9 @@ def winding_numbers(points: np.ndarray, mesh: TriMesh, chunk: int = 512) -> np.n
                + np.einsum("pij,pij->pi", a, c) * lb)
         return np.arctan2(num, den).sum(axis=1) / (2.0 * np.pi)
 
-    parts = _run_chunks(work, len(points), chunk)
-    return np.concatenate(parts)
+    n = len(points)
+    return np.concatenate([work(s, min(s + chunk, n))
+                           for s in range(0, n, chunk)])
 
 
 def _point_triangle_distance_sq(p: np.ndarray, a, b, c) -> np.ndarray:

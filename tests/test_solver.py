@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from capdrop import solver
-from capdrop.analytic import CapillaryParams, contact_angle
+from capdrop.analytic import (CapillaryParams, contact_angle,
+                              interior_drop_cap)
 from capdrop.errors import SolverError
 from capdrop.geometry import Sphere
 from capdrop.shapes import flat_disk
@@ -77,3 +79,114 @@ def test_rising_energy_raises_solver_error(monkeypatch):
                              remesh_every=0)
     with pytest.raises(SolverError, match="energy increased"):
         solver.solve_dirichlet_cmc(boundary, disk, cfg, target_volume=0.1)
+
+
+def test_restore_keeps_free_boundary_on_sphere(unit_sphere):
+    # the restore's Newton moves slide the boundary along substrate tangents;
+    # a large first correction (the gamma = 70 deg drop pushed to 20 deg)
+    # once left it 1.2e-6 off the sphere, past contact_angle's 1e-6
+    init = solver._default_capillary_init(
+        unit_sphere, CapillaryParams(gamma=math.radians(70.0),
+                                     target_volume=0.3))
+    params = CapillaryParams(gamma=math.radians(20.0), target_volume=0.3)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=3,
+                             remesh_every=0)
+    mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    b = mesh.vertices[mesh.boundary_vertex_mask]
+    assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
+    assert report.iterations == 3
+
+
+def test_missed_curvature_target_is_not_converged():
+    # the flat disk is critical at every volume the tuner tries from zero,
+    # so the multiplier stays at 0 and never reaches the target 2/3
+    disk = flat_disk(1.0, n_angular=112, n_rings=18)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    _, report = solver.solve_dirichlet_cmc(boundary, disk,
+                                           target_mean_curvature=2.0 / 3.0)
+    assert not report.converged
+    assert "missed curvature target 0.666667" in report.message
+
+
+class _InitBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("solve", [solver.solve_capillary,
+                                   solver.solve_prescribed_height_curvature])
+def test_config_must_agree_with_arguments(monkeypatch, unit_sphere, solve):
+    def init_built(*args, **kwargs):
+        raise _InitBuilt
+
+    monkeypatch.setattr(solver, "_default_capillary_init", init_built)
+    mode = ("capillary" if solve is solver.solve_capillary
+            else "prescribed_height_curvature")
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                             target_volume=0.3)
+    other = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                            target_volume=0.4)
+
+    def config(p, s):
+        return solver.SolveConfig(mode=mode, params=p, substrate=s)
+
+    with pytest.raises(ValueError, match="config.params differs"):
+        solve(unit_sphere, params, config=config(other, unit_sphere))
+    with pytest.raises(ValueError, match="config.substrate differs"):
+        solve(unit_sphere, params,
+              config=config(params, Sphere((0.0, 0.0, 0.0), 2.0)))
+    # an equal sphere that is another object agrees
+    with pytest.raises(_InitBuilt):
+        solve(unit_sphere, params,
+              config=config(params, Sphere(np.zeros(3), 1.0)))
+
+
+def _mesh_volume(mesh, sphere, side="interior"):
+    op = make_wetting_operator(mesh, sphere, side=side)
+    return mesh.divergence_volume() + op.volume_term(mesh.vertices)
+
+
+def _diagnostics(path):
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert all({"iteration", "energy", "volume", "gradNorm"} <= r.keys()
+               for r in records)
+    return records
+
+
+def test_dirichlet_entry_point(tmp_path):
+    disk = flat_disk(1.0, n_angular=24, n_rings=4)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    path = tmp_path / "dirichlet.jsonl"
+    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=40,
+                             remesh_every=10, diagnostics_path=str(path))
+    mesh, report = solver.solve_dirichlet_cmc(boundary, disk, cfg,
+                                              target_volume=0.3)
+    assert mesh.divergence_volume() == pytest.approx(0.3, rel=1e-10)
+    # the pinned loop comes back bit for bit, whatever the remesh did inside
+    out = mesh.vertices[mesh.boundary_vertex_mask]
+    assert np.array_equal(np.unique(out, axis=0), np.unique(boundary, axis=0))
+    assert len(_diagnostics(path)) == report.iterations > 0
+
+
+@pytest.mark.parametrize("mode", ["capillary", "prescribed_height_curvature"])
+def test_free_boundary_entry_points(tmp_path, mode):
+    sphere = Sphere((0.0, 0.0, 0.0), 1.3)
+    drop = interior_drop_cap(sphere.radius, math.radians(55.0),
+                             math.radians(70.0))
+    init = drop.free_surface_mesh(16)
+    kappa = 0.5 if mode == "prescribed_height_curvature" else 0.0
+    params = CapillaryParams(gamma=math.radians(60.0), kappa=kappa,
+                             target_volume=drop.volume)
+    path = tmp_path / f"{mode}.jsonl"
+    cfg = solver.SolveConfig(mode=mode, params=params, substrate=sphere,
+                             max_iterations=40, remesh_every=10,
+                             diagnostics_path=str(path))
+    solve = (solver.solve_capillary if mode == "capillary"
+             else solver.solve_prescribed_height_curvature)
+    mesh, report = solve(sphere, params, init, cfg)
+    assert _mesh_volume(mesh, sphere) == pytest.approx(drop.volume, rel=1e-10)
+    b = mesh.vertices[mesh.boundary_vertex_mask]
+    assert (np.abs(np.linalg.norm(b, axis=1) - sphere.radius).max()
+            <= 1e-12 * sphere.radius)
+    assert len(_diagnostics(path)) == report.iterations > 0

@@ -3,8 +3,7 @@ import pytest
 
 from capdrop.shapes import icosphere
 from capdrop.spatial import (
-    MeshDistanceQuery, get_threads, point_mesh_distance, ray_hit_counts,
-    set_threads, winding_numbers,
+    MeshDistanceQuery, point_mesh_distance, ray_hit_counts, winding_numbers,
 )
 
 
@@ -63,14 +62,3 @@ def test_ray_hit_counts_flags_grazing():
     m = icosphere(2)
     hits, grazing = ray_hit_counts(np.zeros((1, 3)), np.array([1.0, 0.0, 0.0]), m)
     assert grazing[0]
-
-
-def test_thread_control_roundtrip():
-    old = get_threads()
-    try:
-        set_threads(2)
-        assert get_threads() == 2
-        set_threads(0)  # clamped to the minimum of one worker
-        assert get_threads() == 1
-    finally:
-        set_threads(old)
