@@ -699,7 +699,7 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
 
 
 def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
-                  info: dict, mu_for_law: float | None = None) -> SolveReport:
+                  info: dict, mu_for_law: float) -> SolveReport:
     e, vol = _energy_volume(mesh, state)
     m = _measure(mesh, config, state, mu_for_law)
     converged = info["stop"] in ("gradient", "stalled", "measured") and m["pass"]
