@@ -561,14 +561,12 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
 
 
 def _write_diag(sink, diag: dict) -> None:
+    """One JSON line per step; a non-finite value is written as null."""
     if sink is not None:
+        diag = {k: (None if isinstance(v, float) and not math.isfinite(v)
+                    else v) for k, v in diag.items()}
         sink.write(json.dumps(diag, sort_keys=True, allow_nan=False,
                               default=float) + "\n")
-
-
-def _sanitize(diag: dict) -> dict:
-    return {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-            for k, v in diag.items()}
 
 
 def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
@@ -629,7 +627,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             break
         steps += 1
         grad_norm = diag["gradNorm"]
-        _write_diag(sink, _sanitize(diag))
+        _write_diag(sink, diag)
         if (prev_e is not None and diag["step"] > 0
                 and diag["energy"] > prev_e + 1e-9 * (abs(prev_e) + 1)):
             raise SolverError(
