@@ -113,15 +113,20 @@ class _InitBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("solve", [solver.solve_capillary,
-                                   solver.solve_prescribed_height_curvature])
-def test_config_must_agree_with_arguments(monkeypatch, unit_sphere, solve):
+FREE_BOUNDARY_SOLVERS = [
+    ("capillary", solver.solve_capillary),
+    ("prescribed_height_curvature", solver.solve_prescribed_height_curvature),
+]
+
+
+@pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
+                         ids=[mode for mode, _ in FREE_BOUNDARY_SOLVERS])
+def test_config_must_agree_with_arguments(monkeypatch, unit_sphere, mode,
+                                          solve):
     def init_built(*args, **kwargs):
         raise _InitBuilt
 
     monkeypatch.setattr(solver, "_default_capillary_init", init_built)
-    mode = ("capillary" if solve is solver.solve_capillary
-            else "prescribed_height_curvature")
     params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
                              target_volume=0.3)
     other = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
@@ -141,8 +146,8 @@ def test_config_must_agree_with_arguments(monkeypatch, unit_sphere, solve):
               config=config(params, Sphere(np.zeros(3), 1.0)))
 
 
-def _mesh_volume(mesh, sphere, side="interior"):
-    op = make_wetting_operator(mesh, sphere, side=side)
+def _mesh_volume(mesh, sphere):
+    op = make_wetting_operator(mesh, sphere, side="interior")
     return mesh.divergence_volume() + op.volume_term(mesh.vertices)
 
 
@@ -169,8 +174,9 @@ def test_dirichlet_entry_point(tmp_path):
     assert len(_diagnostics(path)) == report.iterations > 0
 
 
-@pytest.mark.parametrize("mode", ["capillary", "prescribed_height_curvature"])
-def test_free_boundary_entry_points(tmp_path, mode):
+@pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
+                         ids=[mode for mode, _ in FREE_BOUNDARY_SOLVERS])
+def test_free_boundary_entry_points(tmp_path, mode, solve):
     sphere = Sphere((0.0, 0.0, 0.0), 1.3)
     drop = interior_drop_cap(sphere.radius, math.radians(55.0),
                              math.radians(70.0))
@@ -182,8 +188,6 @@ def test_free_boundary_entry_points(tmp_path, mode):
     cfg = solver.SolveConfig(mode=mode, params=params, substrate=sphere,
                              max_iterations=40, remesh_every=10,
                              diagnostics_path=str(path))
-    solve = (solver.solve_capillary if mode == "capillary"
-             else solver.solve_prescribed_height_curvature)
     mesh, report = solve(sphere, params, init, cfg)
     assert _mesh_volume(mesh, sphere) == pytest.approx(drop.volume, rel=1e-10)
     b = mesh.vertices[mesh.boundary_vertex_mask]
