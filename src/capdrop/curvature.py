@@ -56,11 +56,17 @@ def _face_cotangents(mesh: TriMesh) -> np.ndarray:
 _EDGE_ENDS = (1, 2, 2, 0, 0, 1)
 
 
-def mixed_voronoi_areas(mesh: TriMesh) -> np.ndarray:
-    """Mixed Voronoi vertex areas (Voronoi cells, clipped for obtuse triangles)."""
+def mixed_voronoi_areas(mesh: TriMesh,
+                        cots: np.ndarray | None = None) -> np.ndarray:
+    """Mixed Voronoi vertex areas (Voronoi cells, clipped for obtuse triangles).
+
+    ``cots``, if given, must be ``_face_cotangents(mesh)``; a caller that
+    already holds them saves computing them again.
+    """
     v = mesh.vertices
     f = mesh.faces
-    cots = _face_cotangents(mesh)
+    if cots is None:
+        cots = _face_cotangents(mesh)
     areas = mesh.face_areas
     obtuse_corner = np.argmin(cots, axis=1)
     is_obtuse = cots[np.arange(len(f)), obtuse_corner] < 0.0

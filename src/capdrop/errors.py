@@ -45,6 +45,11 @@ class SelfIntersectingPatchError(GeometryError):
     """The spherical patch triangulation would self-intersect."""
 
 
+class WettingCalibrationError(GeometryError, ValueError):
+    """No pole gives the wetted patch a positive area, or the line-integral
+    patch area disagrees with the meshed closure."""
+
+
 class DegenerateConfigurationError(GeometryError):
     """Input points do not determine the requested fit (e.g. coplanar for a sphere)."""
 

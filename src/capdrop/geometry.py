@@ -35,16 +35,19 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross3(a: np.ndarray, b: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Cross product over the last axis of two broadcastable (..., 3) arrays.
 
     Each component is one product minus another, as in ``np.cross``, so the
     result equals ``np.cross(a, b)`` bit for bit; it skips ``np.cross``'s
     argument handling, which dominates on the small arrays of a flow step.
+    ``out``, if given, receives the result (it may be a strided view).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]

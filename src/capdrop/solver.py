@@ -13,6 +13,18 @@ backtracking line search enforces descent, and the volume is restored
 exactly after every trial by a Newton correction along the interior volume
 gradient, so the constraint drifts only at round-off.
 
+Every position the flow visits is evaluated by one face pass
+(``_face_pass``): the face corners are gathered once, and their cross
+products give the area, the divergence volume, the worst face quality and,
+on demand, the area gradient (half the unit face normal crossed with the
+edge opposite each corner: the cotangent formula, written with the normal
+the area needs anyway) and the volume gradient, which leave through one
+scatter.  The wetting operator's circulations run once per position too.
+The values are kept with the mesh of that position, tagged with the flow
+state, so each is computed at most once; the per-face arrays are not kept.
+The Sobolev preconditioner M + alpha L is symmetric positive definite and
+is factored with a symmetric ordering and diagonal pivots.
+
 Three modes share the engine.  ``dirichlet_cmc`` pins the boundary polyline
 and drops the wetting terms; ``capillary`` lets boundary vertices slide
 tangentially on the substrate sphere; ``prescribed_height_curvature`` adds
@@ -48,16 +60,16 @@ from scipy.sparse.linalg import splu
 
 from .analytic import (CapillaryParams, contact_angle, exterior_drop_cap,
                        interior_drop_cap)
-from .curvature import (_face_cotangents, cotangent_area_gradient,
-                        mixed_voronoi_areas)
-from .errors import (DegenerateConfigurationError, MeshDegeneracyError,
-                     SideViolationError, SolverError, StepCollapseError)
-from .geometry import Sphere
+from .curvature import _face_cotangents, mixed_voronoi_areas
+from .errors import (DegenerateConfigurationError, GeometryError,
+                     MeshDegeneracyError, SideViolationError, SolverError,
+                     StepCollapseError)
+from .geometry import Sphere, cross3
 from .mesh import TriMesh
-from .remesh import _remesh_with_stats, mean_edge_length, min_quality
+from .remesh import _remesh_with_stats, mean_edge_length
 from .wetting import (WettingOperator, _require_origin_centered,
-                      make_wetting_operator, surface_volume_gradient,
-                      surface_z_moment, surface_z_moment_gradient)
+                      make_wetting_operator, surface_z_moment,
+                      surface_z_moment_gradient)
 
 __all__ = [
     "MODES",
@@ -159,57 +171,130 @@ class FlowState:
     disp_since_remesh: float = math.inf
     _precond: object = None
     _precond_stale: float = math.inf
+    # tags the values this state computed at a position (see _Position)
+    _key: object = field(default_factory=object, repr=False, compare=False)
 
 
-# The functionals below evaluate at the positions of the mesh they are given;
-# a step makes one mesh per trial position with ``with_vertices``, so every
-# evaluation at that position shares its cached face areas and all of them
-# share the connectivity caches.
+# --------------------------------------------------------------------------
+# the face pass
 
 
-def _energy_volume(m: TriMesh, state: FlowState):
-    x = m.vertices
-    e = m.surface_area()
-    vol = m.divergence_volume()
+class _Position:
+    """The flow's functionals at one position, each computed at most once.
+
+    It lives in the position cache of the mesh it describes (so
+    ``invalidate_geometry`` drops it) and carries the key of the flow state
+    that computed it: a mesh evaluated by one solve never serves another
+    solve's operator, gamma or kappa.  Only scalars and vertex gradients are
+    kept, never the per-face arrays of the pass.
+    """
+
+    __slots__ = ("key", "area", "energy", "volume", "quality", "c", "g",
+                 "wet", "wet_grad")
+
+    def __init__(self, key):
+        self.key = key
+        self.area = self.energy = self.volume = self.quality = None
+        self.c = self.g = self.wet = self.wet_grad = None
+
+
+def _at(m: TriMesh, state: FlowState, *, energy: bool = False,
+        volume: bool = False, c: bool = False, g: bool = False) -> _Position:
+    """The flow's values at ``m``'s positions, computing in one face pass
+    whichever of the requested ones are not known yet: ``energy`` (with the
+    surface area and the worst face quality), ``volume``, and the volume
+    and energy gradients ``c`` and ``g``."""
+    p = m._cache.get("flow")
+    if p is None or p.key is not state._key:
+        p = m._cache["flow"] = _Position(state._key)
+    energy = energy and p.energy is None
+    volume = volume and p.volume is None
+    c = c and p.c is None
+    g = g and p.g is None
+    if energy or volume or c or g:
+        _face_pass(m, state, p, energy, volume, c, g)
+    return p
+
+
+def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
+               volume: bool, want_c: bool, want_g: bool) -> None:
+    """Fill the requested fields of ``p`` from one gather of the corners.
+
+    Per face, with corners a, b, c and the edge e_k opposite corner k:
+    n = (b - a) x (c - a) gives the area |n|/2, the quality
+    2 sqrt(3) |n| / sum |e_k|^2 and the area gradient n/|n| x e_k / 2 at
+    corner k (the cotangent formula, written with the normal the area needs
+    anyway); b x c gives the divergence volume a . (b x c) / 6 and, with
+    c x a and a x b, its gradient.  Both gradients leave through one
+    scatter.  The wetting terms come from one circulation per position.
+    """
+    v, f = m.vertices, m.faces
+    a, b, c = (np.take(v, f[:, k], axis=0) for k in range(3))
     op = state.operator
+    cosg = math.cos(state.gamma)
+    if energy or want_g:
+        edges = (c - b, a - c, b - a)
+        n = cross3(edges[1], edges[2])  # = (b - a) x (c - a)
+        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+    if volume or want_c:
+        bc = cross3(b, c)
     if op is not None:
-        cosg = math.cos(state.gamma)
-        if cosg != 0.0:
-            e -= cosg * op.area(x)
-        vol += op.volume_term(x)
-        if state.kappa != 0.0:
-            e -= 2.0 * state.kappa * (surface_z_moment(x, m.faces)
-                                      + op.z_moment_term(x))
-    return e, vol
+        vol_per_wet = op.side_sign * op.sphere.radius / 3.0
+        if p.wet is None and (volume or (energy and cosg != 0.0)):
+            p.wet = op.area(v)
+        if p.wet_grad is None and (want_c or (want_g and cosg != 0.0)):
+            p.wet_grad = op.area_gradient(v)
+
+    if energy:
+        p.area = e = 0.5 * float(nn.sum())
+        l2 = sum(np.einsum("ij,ij->i", d, d) for d in edges)
+        p.quality = float((2.0 * math.sqrt(3.0) * nn / l2).min())
+        if op is not None:
+            if cosg != 0.0:
+                e -= cosg * p.wet
+            if state.kappa != 0.0:
+                e -= 2.0 * state.kappa * (surface_z_moment(v, f)
+                                          + op.z_moment_term(v))
+        p.energy = e
+    if volume:
+        vol = float(np.einsum("ij,ij->i", a, bc).sum() / 6.0)
+        if op is not None:
+            vol += vol_per_wet * p.wet
+        p.volume = vol
+    if not (want_c or want_g):
+        return
+
+    # per corner: volume gradient in columns 0-2, area gradient after it
+    block = np.empty((3, len(f), 3 * (want_c + want_g)))
+    if want_c:
+        block[0, :, :3] = bc
+        cross3(c, a, out=block[1, :, :3])
+        cross3(a, b, out=block[2, :, :3])
+        block[:, :, :3] /= 6.0
+    if want_g:
+        nhat = n / nn[:, None]
+        for k in range(3):
+            cross3(nhat, edges[k], out=block[k, :, -3:])
+        block[:, :, -3:] *= 0.5
+    grads = m.scatter(block)
+    if want_c:
+        p.c = grads[:, :3]
+        if op is not None:
+            p.c = p.c + vol_per_wet * p.wet_grad
+    if want_g:
+        gr = grads[:, -3:]
+        if op is not None:
+            if cosg != 0.0:
+                gr = gr - cosg * p.wet_grad
+            if state.kappa != 0.0:
+                gr = gr - 2.0 * state.kappa * (surface_z_moment_gradient(m)
+                                               + op.z_moment_term_gradient(v))
+        p.g = gr
 
 
-def _volume_of(m: TriMesh, state: FlowState) -> float:
-    vol = m.divergence_volume()
-    if state.operator is not None:
-        vol += state.operator.volume_term(m.vertices)
-    return vol
-
-
-def _volume_gradient(m: TriMesh, state: FlowState) -> np.ndarray:
-    c = surface_volume_gradient(m)
-    if state.operator is not None:
-        c = c + state.operator.volume_term_gradient(m.vertices)
-    return c
-
-
-def _gradients(m: TriMesh, state: FlowState):
-    x = m.vertices
-    g = cotangent_area_gradient(m)
-    c = _volume_gradient(m, state)
-    op = state.operator
-    if op is not None:
-        cosg = math.cos(state.gamma)
-        if cosg != 0.0:
-            g -= cosg * op.area_gradient(x)
-        if state.kappa != 0.0:
-            g -= 2.0 * state.kappa * (surface_z_moment_gradient(m)
-                                      + op.z_moment_term_gradient(x))
-    return g, c
+def _energy_volume(m: TriMesh, state: FlowState) -> tuple[float, float]:
+    p = _at(m, state, energy=True, volume=True)
+    return p.energy, p.volume
 
 
 # --------------------------------------------------------------------------
@@ -253,20 +338,18 @@ def _restore_volume(m: TriMesh, state: FlowState, rel_tol: float = 1e-12,
     A free boundary moves along tangents of the substrate, which leave it
     at second order, so every iterate is snapped back onto it."""
     scale = max(1.0, abs(state.volume_target))
-    c = _volume_gradient(m, state)
-    u = _restore_direction(m, c, state)
+    p = _at(m, state, volume=True, c=True)
+    u = _restore_direction(m, p.c, state)
     for _ in range(max_iter):
-        r = state.volume_target - _volume_of(m, state)
+        p = _at(m, state, volume=True, c=True)
+        r = state.volume_target - p.volume
         if abs(r) <= rel_tol * scale:
             return m, True
-        if c is None:
-            c = _volume_gradient(m, state)
-        denom = float((c * u).sum())
+        denom = float((p.c * u).sum())
         if denom <= 0.0:
             return m, False
         m = m.with_vertices(
             _snap_boundary(m.vertices + (r / denom) * u, m, state))
-        c = None
     return m, False
 
 
@@ -278,8 +361,7 @@ def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray
     return x
 
 
-def _cotan_laplacian(m: TriMesh) -> sparse.csr_matrix:
-    cots = _face_cotangents(m)
+def _cotan_laplacian(m: TriMesh, cots: np.ndarray) -> sparse.csr_matrix:
     f = m.faces
     n = m.n_vertices
     rows, cols, vals = [], [], []
@@ -302,13 +384,18 @@ def _preconditioner(m: TriMesh, state: FlowState):
             and state._precond_stale < 0.25 * state.target_edge
             and cached.shape[0] == m.n_vertices):
         return cached
-    L = _cotan_laplacian(m)
-    M = sparse.diags(np.maximum(mixed_voronoi_areas(m), 1e-300))
+    cots = _face_cotangents(m)
+    L = _cotan_laplacian(m, cots)
+    M = sparse.diags(np.maximum(mixed_voronoi_areas(m, cots), 1e-300))
     A = (M + state.sobolev_alpha * L).tocsr()
     if state.pinned.any():
         free = sparse.diags((~state.pinned).astype(float))
         A = free @ A @ free + sparse.diags(state.pinned.astype(float))
-    state._precond = splu(A.tocsc())
+    # A is symmetric positive definite: a symmetric ordering and diagonal
+    # pivots give a sparser factor than the default column ordering
+    state._precond = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.001,
+                          options={"SymmetricMode": True})
     state._precond_stale = 0.0
     return state._precond
 
@@ -381,7 +468,7 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
     state.alpha_floor = min(state.sobolev_alpha,
                             (2.0 * state.target_edge) ** 2)
     if volume_target is None:
-        _, volume_target = _energy_volume(mesh, state)
+        volume_target = _at(mesh, state, volume=True).volume
     state.volume_target = float(volume_target)
     return state
 
@@ -397,9 +484,8 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     from a critical point.
     """
     x0 = mesh.vertices
-    area = mesh.surface_area()
-    e0, v0 = _energy_volume(mesh, state)
-    g, c = _gradients(mesh, state)
+    p = _at(mesh, state, energy=True, volume=True, c=True, g=True)
+    area, e0, v0, g, c = p.area, p.energy, p.volume, p.g, p.c
     g_proj = _project_rows(g, mesh, state)
     c_proj = _project_rows(c, mesh, state)
     cc = float((c_proj * c_proj).sum())
@@ -505,7 +591,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
         state.side_violation_streak = (state.side_violation_streak + 1
                                        if violations else 0)
 
-    if min_quality(m) < QUALITY_FLOOR:
+    if _at(m, state, energy=True).quality < QUALITY_FLOOR:
         state.needs_remesh = True
 
     disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
@@ -532,19 +618,28 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
         state.needs_remesh = False
         return mesh, state
     if state.operator is not None:
-        p = config.params
-        state.operator = make_wetting_operator(new, config.substrate,
-                                               side=p.side)
+        try:
+            state.operator = make_wetting_operator(new, config.substrate,
+                                                   side=config.params.side)
+        except GeometryError:
+            # the new boundary loops cannot be wetted (for example their
+            # closure would self-intersect): keep the old mesh, operator,
+            # pinned mask and factor, and count the displacement afresh so
+            # the remesh is not retried every step
+            state.needs_remesh = False
+            state.disp_since_remesh = 0.0
+            return mesh, state
     if dirichlet:
         state.pinned = new.boundary_vertex_mask.copy()
     else:
         state.pinned = np.zeros(new.n_vertices, dtype=bool)
-    # build the new faces' cotangent scatter before the restore factors the
-    # preconditioner: built in the next step instead, its long-lived arrays
-    # land in the memory the dropped factor leaves, and the next factor has
-    # to grow the heap (under glibc malloc that raised the peak memory of a
-    # 16k-vertex solve by 5-25%)
-    cotangent_area_gradient(new)
+    # evaluate the restore's first position, which builds the new faces'
+    # gradient scatter, while the old factor still holds its memory: built
+    # after the reset, the scatter's long-lived arrays land in the memory the
+    # dropped factor leaves, and the next factor has to grow the heap (under
+    # glibc malloc that raised the peak memory of a 16k-vertex solve by
+    # 5-25%)
+    _at(new, state, volume=True, c=True)
     # the two resets do different jobs: the first keeps the old faces' factor
     # from serving the new faces (a remesh can keep the vertex count) and
     # frees it before the restore factors anew; the second drops the
@@ -580,7 +675,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             "could not push the initial surface to the target volume")
     # the entry correction can move vertices a long way
     state._precond_stale = math.inf
-    area = mesh.surface_area()
+    area = _at(mesh, state, energy=True).area
     grad_norm = math.inf
     stop = "budget"
     steps = 0
@@ -611,13 +706,15 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
                 cadence and not annealed
                 and state.disp_since_remesh > 0.2 * state.target_edge):
             mesh, state = _do_remesh(mesh, config, state)
-            area = mesh.surface_area()
+            area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
         elif cadence and steps >= 2 * config.remesh_every:
             # the mesh has settled; see if the measured physics already
-            # passes before grinding out the last tangential modes
-            if _measure(mesh, config, state)["pass"]:
+            # passes before grinding out the last tangential modes, judging
+            # the height law about the flow's own multiplier, as the report
+            # of a fixed-volume solve does
+            if _measure(mesh, config, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
         try:
@@ -656,7 +753,7 @@ def _h_scale(state: FlowState, mesh: TriMesh) -> float:
 
 
 def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
-             mu_for_law: float | None = None) -> dict:
+             mu_for_law: float) -> dict:
     """Equilibrium measurement against which the converged flag is judged.
 
     Mean curvature comes from the variational estimator (energy gradient
@@ -665,11 +762,13 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
     its spread measures distance from equilibrium without the 1/h^2 noise
     a stencil-fit estimator picks up from benign discretization wiggle.
     In the height-law mode the estimator already subtracts kappa z, so the
-    deviation is the law residual; h_mean still reports the achieved mean
-    of H itself.
+    deviation is the law residual about the law constant ``mu_for_law``
+    (the other modes ignore it); h_mean still reports the achieved mean of
+    H itself.
     """
     x = mesh.vertices
-    g, c = _gradients(mesh, state)
+    p = _at(mesh, state, c=True, g=True)
+    g, c = p.g, p.c
     interior = ~mesh.boundary_vertex_mask
     q, ok = _pointwise_multiplier(g, c, interior)
     if q.size == 0:
@@ -677,8 +776,7 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
     else:
         q_mean = float(q.mean())
         if config.mode == "prescribed_height_curvature":
-            mu = q_mean if mu_for_law is None else mu_for_law
-            h_dev = float(np.abs(q - mu).max())
+            h_dev = float(np.abs(q - mu_for_law).max())
             h_mean = float((q + state.kappa
                             * x[interior, 2][ok]).mean())
         else:

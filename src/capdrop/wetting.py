@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .closure import close_with_spherical_patch
-from .errors import LoopsNotInHemisphereError
+from .errors import LoopsNotInHemisphereError, WettingCalibrationError
 from .geometry import (Sphere, cross3, open_hemisphere_pole, rotation_between,
                        unit)
 from .mesh import TriMesh
@@ -269,7 +269,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
         if best is None or a_est < best[0]:
             best = (a_est, pole)
     if best is None:
-        raise ValueError(
+        raise WettingCalibrationError(
             "wetted-patch calibration failed: no pole gives a positive patch "
             "area; is the mesh wound with normals out of the drop?")
     a_est, pole = best
@@ -281,7 +281,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
         area_true = region.patch_area()
         if region.signed_volume < 0.0 or \
                 abs(a_est - area_true) > 0.05 * max(area_true, rho * rho):
-            raise ValueError(
+            raise WettingCalibrationError(
                 f"wetted-patch calibration failed: line-integral area "
                 f"{a_est:.6g} against meshed patch area {area_true:.6g}")
     except LoopsNotInHemisphereError:

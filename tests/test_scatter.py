@@ -1,7 +1,10 @@
-"""The face-to-vertex scatter against np.add.at, and the shared topology caches.
+"""The face-to-vertex scatter against np.add.at, the shared topology caches,
+and the flow's face pass against the public kernels.
 
-Every scatter in the flow step must add the same terms in the same order as
-one ``np.add.at`` per block did, so the comparisons are exact.
+Every scatter of the public kernels must add the same terms in the same
+order as one ``np.add.at`` per block did, so those comparisons are exact.
+The face pass writes the area gradient with face normals instead of
+cotangents, so it matches them to round-off.
 """
 import math
 
@@ -12,7 +15,8 @@ from capdrop.analytic import interior_drop_cap
 from capdrop.curvature import (_face_cotangents, cotangent_area_gradient,
                                mixed_voronoi_areas)
 from capdrop.geometry import cross3, rotation_between, rotation_from_axis_angle
-from capdrop.remesh import mean_edge_length
+from capdrop import solver
+from capdrop.remesh import mean_edge_length, min_quality
 from capdrop.shapes import icosphere, perturb_normal
 from capdrop.wetting import (make_wetting_operator, surface_volume_gradient,
                              surface_z_moment_gradient)
@@ -155,3 +159,42 @@ def test_operator_rotation_is_computed_for_its_pole(drop):
                                     drop.substrate)
     if abs(upright.pole[2] - 1.0) < 1e-15:
         assert upright.rot is None
+
+
+def _face_pass(mesh):
+    """The flow's values at ``mesh`` for a pinned solve: no wetting terms,
+    so the energy is the area and the volume the divergence volume."""
+    state = solver.init_flow_state(mesh, solver.SolveConfig(mode="dirichlet_cmc"))
+    return state, solver._at(mesh, state, energy=True, volume=True, c=True,
+                             g=True)
+
+
+def _close(a, b, rel=1e-12):
+    return np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+def test_face_pass_matches_public_kernels(mesh):
+    _, p = _face_pass(mesh)
+    assert _close(p.g, cotangent_area_gradient(mesh))
+    assert _close(p.c, surface_volume_gradient(mesh))
+    assert p.energy == p.area == pytest.approx(mesh.surface_area(), rel=1e-12)
+    assert p.volume == pytest.approx(mesh.divergence_volume(), rel=1e-12)
+    assert p.quality == pytest.approx(min_quality(mesh), rel=1e-12)
+
+
+def test_face_pass_gradients_fd(mesh, rng):
+    """Both gradients against four-point central differences, each
+    position evaluated on its own mesh (the values are cached per mesh)."""
+    state, p = _face_pass(mesh)
+    eps = 1e-4
+    for _ in range(4):
+        d = rng.normal(size=mesh.vertices.shape)
+
+        def at(t):
+            q = solver._at(mesh.with_vertices(mesh.vertices + t * d), state,
+                           energy=True, volume=True)
+            return np.array([q.area, q.volume])
+
+        fd = (8.0 * (at(eps) - at(-eps)) - (at(2 * eps) - at(-2 * eps))) / (12 * eps)
+        an = np.array([np.sum(p.g * d), np.sum(p.c * d)])
+        assert np.all(np.abs(fd - an) <= 5e-7 * np.maximum(np.abs(fd), np.abs(an)))

@@ -7,7 +7,7 @@ import pytest
 from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
                               interior_drop_cap)
-from capdrop.errors import SolverError
+from capdrop.errors import SelfIntersectingPatchError, SolverError
 from capdrop.geometry import Sphere
 from capdrop.shapes import flat_disk
 from capdrop.wetting import make_wetting_operator
@@ -194,3 +194,130 @@ def test_free_boundary_entry_points(tmp_path, mode, solve):
     assert (np.abs(np.linalg.norm(b, axis=1) - sphere.radius).max()
             <= 1e-12 * sphere.radius)
     assert len(_diagnostics(path)) == report.iterations > 0
+
+
+def test_height_law_energy_gradients_fd(rng):
+    """The face pass with every wetting term on (gamma, kappa and the patch
+    volume) against four-point central differences."""
+    sphere = Sphere((0.0, 0.0, 0.0), 1.3)
+    drop = interior_drop_cap(sphere.radius, math.radians(55.0),
+                             math.radians(70.0))
+    mesh = drop.free_surface_mesh(16)
+    params = CapillaryParams(gamma=math.radians(60.0), kappa=0.5,
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="prescribed_height_curvature",
+                             params=params, substrate=sphere)
+    state = solver.init_flow_state(mesh, cfg)
+    p = solver._at(mesh, state, c=True, g=True)
+    eps = 1e-4
+    for _ in range(4):
+        d = rng.normal(size=mesh.vertices.shape)
+
+        def at(t):
+            q = solver._at(mesh.with_vertices(mesh.vertices + t * d), state,
+                           energy=True, volume=True)
+            return np.array([q.energy, q.volume])
+
+        fd = (8.0 * (at(eps) - at(-eps)) - (at(2 * eps) - at(-2 * eps))) / (12 * eps)
+        an = np.array([np.sum(p.g * d), np.sum(p.c * d)])
+        assert np.all(np.abs(fd - an) <= 5e-7 * np.maximum(np.abs(fd), np.abs(an)))
+
+
+def _same_result(a, b):
+    return (np.array_equal(a[0].vertices, b[0].vertices)
+            and repr(a[1]) == repr(b[1]))
+
+
+def test_init_mesh_values_are_not_shared_between_solves(unit_sphere):
+    # the flow caches its values on every mesh it evaluates, the caller's
+    # init included; a second solve with another gamma must not read them
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
+    init = drop.free_surface_mesh(16)
+
+    def config(gamma_deg):
+        params = CapillaryParams(gamma=math.radians(gamma_deg),
+                                 target_volume=drop.volume)
+        return params, solver.SolveConfig(mode="capillary", params=params,
+                                          substrate=unit_sphere,
+                                          max_iterations=20, remesh_every=10)
+
+    def step(mesh, gamma_deg):
+        _, cfg = config(gamma_deg)
+        return solver.flow_step(mesh, cfg, solver.init_flow_state(mesh, cfg))
+
+    def solve(mesh, gamma_deg):
+        params, cfg = config(gamma_deg)
+        return solver.solve_capillary(unit_sphere, params, mesh, cfg)
+
+    for run in (step, solve):
+        shared = [run(init, gamma) for gamma in (60.0, 80.0)]
+        fresh = [run(init.copy(), gamma) for gamma in (60.0, 80.0)]
+        assert not _same_result(shared[0], shared[1])
+        assert all(_same_result(s, f) for s, f in zip(shared, fresh))
+
+
+# the 67-vertex gamma = 70 deg drop of the two tests below
+def _small_drop():
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
+    return drop, drop.free_surface_mesh(24)
+
+
+def test_height_law_stop_and_report_agree(unit_sphere):
+    # the early "measured" stop once judged the law about the mean of the
+    # pointwise ratio and the report about the multiplier: this solve
+    # stopped at step 20 and reported converged=False
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="prescribed_height_curvature",
+                             params=params, substrate=unit_sphere,
+                             max_iterations=120, remesh_every=10)
+    _, report = solver.solve_prescribed_height_curvature(unit_sphere, params,
+                                                         init, cfg)
+    assert report.message == "measured"
+    assert report.converged
+    assert report.iterations < 120
+
+
+def test_remesh_with_unwettable_boundary_is_rejected(unit_sphere):
+    # a remesh of this solve leaves boundary loops whose closure would
+    # self-intersect; the rebuild of the wetting operator once raised
+    # SelfIntersectingPatchError out of the solve
+    _, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(70.0), target_curvature=0.4)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=120,
+                             remesh_every=10)
+    mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert isinstance(report, solver.SolveReport)
+    b = mesh.vertices[mesh.boundary_vertex_mask]
+    assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(70.0),
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere)
+    state = solver.init_flow_state(init, cfg)
+    mesh, _ = solver.flow_step(init, cfg, state)
+    kept = (state.operator, state.pinned, state._precond)
+    assert kept[2] is not None
+
+    rebuilds = []
+
+    def unwettable(*args, **kwargs):
+        rebuilds.append(args)
+        raise SelfIntersectingPatchError("loop azimuths are not monotone")
+
+    monkeypatch.setattr(solver, "make_wetting_operator", unwettable)
+    # a cycle at half the edge length is sure to edit the mesh
+    state.target_edge *= 0.5
+    state.needs_remesh = True
+    out, state = solver._do_remesh(mesh, cfg, state)
+    assert len(rebuilds) == 1
+    assert out is mesh
+    assert all(now is then for now, then in
+               zip((state.operator, state.pinned, state._precond), kept))
+    assert not state.needs_remesh and state.disp_since_remesh == 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from capdrop.analytic import exterior_drop_cap, interior_drop_cap
 from capdrop.closure import close_with_spherical_patch
+from capdrop.errors import GeometryError, WettingCalibrationError
 from capdrop.geometry import Sphere
 from capdrop.shapes import flat_disk
 from capdrop.wetting import (
@@ -186,3 +187,14 @@ def test_surface_z_moment_gradient_fd(bulge, rng):
         mesh, lambda: surface_z_moment(mesh.vertices, mesh.faces),
         lambda: surface_z_moment_gradient(mesh), rng)
     assert w < 5e-7
+
+
+def test_calibration_failure_has_its_own_type(unit_sphere):
+    # the input of test_side_mismatch_detected; the type is both a
+    # GeometryError, which the solver's remesh catches, and a ValueError
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(110.0))
+    mesh = drop.free_surface_mesh(n_angular=48, n_rings=24)
+    with pytest.raises(WettingCalibrationError) as info:
+        make_wetting_operator(mesh, unit_sphere, side="exterior")
+    assert isinstance(info.value, GeometryError)
+    assert isinstance(info.value, ValueError)
