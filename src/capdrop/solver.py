@@ -290,6 +290,10 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
                 gr = gr - 2.0 * state.kappa * (surface_z_moment_gradient(m)
                                                + op.z_moment_term_gradient(v))
         p.g = gr
+    # every later request at this position gets these same arrays
+    for arr in (p.c, p.g, p.wet_grad):
+        if arr is not None:
+            arr.flags.writeable = False
 
 
 def _energy_volume(m: TriMesh, state: FlowState) -> tuple[float, float]:
