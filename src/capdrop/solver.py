@@ -637,12 +637,11 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
         state.pinned = new.boundary_vertex_mask.copy()
     else:
         state.pinned = np.zeros(new.n_vertices, dtype=bool)
-    # evaluate the restore's first position, which builds the new faces'
-    # gradient scatter, while the old factor still holds its memory: built
-    # after the reset, the scatter's long-lived arrays land in the memory the
-    # dropped factor leaves, and the next factor has to grow the heap (under
-    # glibc malloc that raised the peak memory of a 16k-vertex solve by
-    # 5-25%)
+    # evaluate the restore's first position before the old factor is
+    # dropped, so the new faces' gradient scatter is built while that factor
+    # still holds its memory: where long-lived arrays land between
+    # factorizations moves the peak memory of a 16k-vertex solve under glibc
+    # malloc (by up to 25% in earlier measurements)
     _at(new, state, volume=True, c=True)
     # the two resets do different jobs: the first keeps the old faces' factor
     # from serving the new faces (a remesh can keep the vertex count) and
