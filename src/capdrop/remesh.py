@@ -36,6 +36,9 @@ from .mesh import TriMesh, build_mesh
 
 __all__ = ["remesh", "triangle_quality", "min_quality", "mean_edge_length"]
 
+EDIT_QUALITY_FLOOR = 0.05  # no edit may leave a face of lower quality
+SMOOTHING_WEIGHT = 0.5     # fraction of the way to the tangential centroid
+
 
 def triangle_quality(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Per-face quality 4*sqrt(3)*area / sum of squared edge lengths.
@@ -342,8 +345,7 @@ def _flip_pass(em: _EditMesh, floor: float) -> int:
     return n_flipped
 
 
-def _smooth(mesh: TriMesh, weight: float, preserve_boundary: bool,
-            sphere) -> np.ndarray:
+def _smooth(mesh: TriMesh, preserve_boundary: bool, sphere) -> np.ndarray:
     v = mesh.vertices
     adj = mesh.vertex_adjacency
     deg = np.asarray(adj.sum(axis=1)).ravel()
@@ -351,7 +353,7 @@ def _smooth(mesh: TriMesh, weight: float, preserve_boundary: bool,
     n = mesh.vertex_normals
     d = centroid - v
     d -= n * (d * n).sum(1)[:, None]
-    new = v + weight * d
+    new = v + SMOOTHING_WEIGHT * d
     bmask = mesh.boundary_vertex_mask
     if preserve_boundary or sphere is None:
         new[bmask] = v[bmask]
@@ -361,16 +363,19 @@ def _smooth(mesh: TriMesh, weight: float, preserve_boundary: bool,
         for loop in mesh.boundary_loops():
             pts = v[loop]
             mid = 0.5 * (np.roll(pts, 1, axis=0) + np.roll(pts, -1, axis=0))
-            new[loop] = pts + weight * 0.5 * (mid - pts)
+            new[loop] = pts + SMOOTHING_WEIGHT * 0.5 * (mid - pts)
         new[bmask] = sphere.project(new[bmask])
     return new
 
 
 def remesh(mesh: TriMesh, target_edge_length: float, *,
-           preserve_boundary_edges: bool = False, boundary_sphere=None,
-           smoothing_passes: int = 1, smoothing_weight: float = 0.5,
-           quality_floor: float = 0.05) -> TriMesh:
+           preserve_boundary_edges: bool = False,
+           boundary_sphere=None) -> TriMesh:
     """One split / collapse / flip / smooth cycle toward the target length.
+
+    No edit leaves a face below ``EDIT_QUALITY_FLOOR``, and one smoothing
+    pass moves each vertex ``SMOOTHING_WEIGHT`` of the way to the tangential
+    centroid of its neighbours.
 
     Returns a new validated mesh, or the input mesh unchanged if the edited
     triangulation fails validation (every individual edit is guarded, so
@@ -379,16 +384,13 @@ def remesh(mesh: TriMesh, target_edge_length: float, *,
     out, _ = _remesh_with_stats(
         mesh, target_edge_length,
         preserve_boundary_edges=preserve_boundary_edges,
-        boundary_sphere=boundary_sphere, smoothing_passes=smoothing_passes,
-        smoothing_weight=smoothing_weight, quality_floor=quality_floor)
+        boundary_sphere=boundary_sphere)
     return out
 
 
 def _remesh_with_stats(mesh: TriMesh, target_edge_length: float, *,
                        preserve_boundary_edges: bool = False,
-                       boundary_sphere=None, smoothing_passes: int = 1,
-                       smoothing_weight: float = 0.5,
-                       quality_floor: float = 0.05) -> tuple[TriMesh, int]:
+                       boundary_sphere=None) -> tuple[TriMesh, int]:
     """remesh() plus the number of topological edits actually performed."""
     if target_edge_length <= 0:
         raise ValueError("target edge length must be positive")
@@ -396,15 +398,12 @@ def _remesh_with_stats(mesh: TriMesh, target_edge_length: float, *,
     low = 0.8 * target_edge_length
     em = _EditMesh(mesh)
     ops = _split_pass(em, high, preserve_boundary_edges, boundary_sphere)
-    ops += _collapse_pass(em, low, high, quality_floor,
+    ops += _collapse_pass(em, low, high, EDIT_QUALITY_FLOOR,
                           preserve_boundary_edges, boundary_sphere)
-    ops += _flip_pass(em, quality_floor)
+    ops += _flip_pass(em, EDIT_QUALITY_FLOOR)
     try:
         out = em.compact()
     except MeshError:
         return mesh, 0
-    for _ in range(smoothing_passes):
-        out = out.with_vertices(
-            _smooth(out, smoothing_weight, preserve_boundary_edges,
-                    boundary_sphere))
-    return out, ops
+    return out.with_vertices(
+        _smooth(out, preserve_boundary_edges, boundary_sphere)), ops

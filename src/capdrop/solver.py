@@ -35,12 +35,12 @@ a secant on the volume around it.
 
 ``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
 ``substrate`` (both required outside ``dirichlet_cmc``), ``max_iterations``,
-``remesh_every`` (0 turns off the periodic remesh, the smoothing-length
-annealing and the early measured stop; a remesh still runs when quality
-demands it) and ``diagnostics_path`` (one JSON line per flow step).  Step
-sizes, tolerances and the quality floor are the module constants below; the
-remesher's target edge length and the starting Sobolev length come from the
-init mesh.
+``remesh_every`` (0 turns off the periodic remesh and the early measured
+stop; a remesh still runs when quality demands it) and ``diagnostics_path``
+(one JSON line per flow step).  Step sizes, tolerances and the quality floor
+are the module constants below; the remesher's target edge length and the
+Sobolev length (a quarter of the bounding-box diagonal, fixed for the
+solve) come from the init mesh.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -160,12 +160,10 @@ class FlowState:
     side_sign: int
     target_edge: float
     sobolev_alpha: float
-    alpha_floor: float
     step: float
     iteration: int = 0
     multiplier: float = math.nan
     multiplier_history: list = field(default_factory=list)
-    last_energy: float = math.inf
     needs_remesh: bool = False
     side_violation_streak: int = 0
     disp_since_remesh: float = math.inf
@@ -464,13 +462,8 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
         side_sign=side_sign,
         target_edge=mean_edge_length(mesh),
         sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
-        alpha_floor=0.0,
         step=INITIAL_STEP,
     )
-    # the smoothing length anneals down to a couple of edge lengths once
-    # coarse-scale progress stalls; never above the starting value
-    state.alpha_floor = min(state.sobolev_alpha,
-                            (2.0 * state.target_edge) ** 2)
     if volume_target is None:
         volume_target = _at(mesh, state, volume=True).volume
     state.volume_target = float(volume_target)
@@ -494,8 +487,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     c_proj = _project_rows(c, mesh, state)
     cc = float((c_proj * c_proj).sum())
     lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
-    resid = g_proj - lam * c_proj
-    grad_norm = float(np.linalg.norm(resid))
+    grad_norm = float(np.linalg.norm(g_proj - lam * c_proj))
     state.multiplier = 0.5 * lam
     state.multiplier_history.append(state.multiplier)
 
@@ -515,7 +507,6 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     }
     if grad_norm <= GRAD_TOL_FACTOR * area:
         state.iteration += 1
-        state.last_energy = e0
         return mesh, diag
 
     lu = _preconditioner(mesh, state)
@@ -527,14 +518,12 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     # the restore after each trial is a second-order correction
     d = -(pg - lam_pre * pc)
     d = _project_rows(d, mesh, state)
+    # in the A^-1 inner product (A = M + alpha L is symmetric positive
+    # definite) the slope is -(|g_p|^2 - <c_p, g_p>^2 / |c_p|^2): negative by
+    # Cauchy-Schwarz unless g_p is parallel to c_p, when the residual is zero
     slope = float((g * d).sum())
     if slope >= 0.0:
-        # fall back to the mass-preconditioned projected gradient
-        m_areas = np.maximum(mixed_voronoi_areas(mesh), 1e-300)
-        d = _project_rows(-resid / m_areas[:, None], mesh, state)
-        slope = float((g * d).sum())
-        if slope >= 0.0:
-            raise StepCollapseError("no descent direction at current iterate")
+        raise StepCollapseError("no descent direction at current iterate")
 
     # guard against absurd first trials; Armijo handles the rest
     d_max = float(np.linalg.norm(d, axis=1).max())
@@ -603,7 +592,6 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     state.disp_since_remesh += disp
     diag.update(step=t, displacement=disp, energy=e_t, volume=v_t,
                 sideViolations=violations)
-    state.last_energy = e_t
     return m, diag
 
 
@@ -684,29 +672,13 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     steps = 0
     prev_e = None
     recent: list = []
-    cad_e = math.inf
     while steps < budget:
         cadence = (config.remesh_every > 0 and steps > 0
                    and steps % config.remesh_every == 0)
-        forced = (state.needs_remesh
-                  and state.disp_since_remesh > 0.02 * state.target_edge)
-        annealed = False
-        if cadence and not forced:
-            # energy progress per cadence window; when it dries up while
-            # the smoothing length is still coarse, the leftover error
-            # lives at scales the preconditioner suppresses, so sharpen it
-            e_now = state.last_energy
-            if (math.isfinite(cad_e) and math.isfinite(e_now)
-                    and state.sobolev_alpha > state.alpha_floor
-                    and cad_e - e_now < 1e-6 * (abs(e_now) + 1.0)):
-                state.sobolev_alpha = max(0.25 * state.sobolev_alpha,
-                                          state.alpha_floor)
-                state._precond = None
-                state._precond_stale = math.inf
-                annealed = True
-            cad_e = e_now
-        if forced or (
-                cadence and not annealed
+        # a remesh, asked for by the cadence or by a poor face, waits until
+        # the mesh has moved a fifth of an edge since the last one (or since
+        # a rejected one), so a rejected remesh is not retried every step
+        if ((cadence or state.needs_remesh)
                 and state.disp_since_remesh > 0.2 * state.target_edge):
             mesh, state = _do_remesh(mesh, config, state)
             area = _at(mesh, state, energy=True).area

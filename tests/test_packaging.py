@@ -15,3 +15,10 @@ def test_script_entry_points_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} target {target!r} is not callable"
+
+
+def test_readme_named_in_pyproject_exists():
+    # setuptools only warns when the readme is missing, and the built
+    # package then has no long description
+    readme = tomllib.loads(PYPROJECT.read_text())["project"]["readme"]
+    assert (PYPROJECT.parent / readme).is_file()

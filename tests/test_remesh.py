@@ -17,7 +17,8 @@ from capdrop.remesh import (_collapse_pass, _EditMesh, _flip_pass,
                             mean_edge_length, remesh)
 from capdrop.shapes import perturb_normal
 
-FLOOR = 0.05
+# the floor the remesh cycle gives its collapse and flip passes
+FLOOR = capdrop.remesh.EDIT_QUALITY_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +95,7 @@ def test_free_boundary_stays_on_sphere(drop, bumpy):
     n_flip = _flip_pass(em, FLOOR)
     assert n_split > 0 and n_collapse > 0 and n_flip > 0
 
-    out, ops = _remesh_with_stats(bumpy, target, boundary_sphere=sphere,
-                                  quality_floor=FLOOR)
+    out, ops = _remesh_with_stats(bumpy, target, boundary_sphere=sphere)
     assert out is not bumpy
     assert ops == n_split + n_collapse + n_flip
     assert out.n_vertices != bumpy.n_vertices
@@ -105,8 +105,8 @@ def test_free_boundary_stays_on_sphere(drop, bumpy):
     # the winding, and with it the outward side, is kept
     assert np.sign(out.divergence_volume()) == np.sign(bumpy.divergence_volume())
 
-    again, ops_again = _remesh_with_stats(bumpy, target, boundary_sphere=sphere,
-                                          quality_floor=FLOOR)
+    again, ops_again = _remesh_with_stats(bumpy, target,
+                                          boundary_sphere=sphere)
     assert ops_again == ops
     assert np.array_equal(again.vertices, out.vertices)
     assert np.array_equal(again.faces, out.faces)
@@ -118,8 +118,7 @@ def test_pinned_boundary_and_volume():
     mesh = perturb_normal(mesh, 0.2 * mean_edge_length(mesh),
                           np.random.default_rng(2))
     target = mean_edge_length(mesh)
-    out, ops = _remesh_with_stats(mesh, target, preserve_boundary_edges=True,
-                                  quality_floor=FLOOR)
+    out, ops = _remesh_with_stats(mesh, target, preserve_boundary_edges=True)
     assert ops > 0
 
     (loop_in,), (loop_out,) = mesh.boundary_loops(), out.boundary_loops()

@@ -7,9 +7,10 @@ import pytest
 from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
                               interior_drop_cap)
-from capdrop.errors import SelfIntersectingPatchError, SolverError
+from capdrop.errors import (MeshDegeneracyError, SelfIntersectingPatchError,
+                            SolverError, StepCollapseError)
 from capdrop.geometry import Sphere
-from capdrop.shapes import flat_disk
+from capdrop.shapes import flat_disk, perturb_normal
 from capdrop.wetting import make_wetting_operator
 
 
@@ -79,6 +80,28 @@ def test_rising_energy_raises_solver_error(monkeypatch):
                              remesh_every=0)
     with pytest.raises(SolverError, match="energy increased"):
         solver.solve_dirichlet_cmc(boundary, disk, cfg, target_volume=0.1)
+
+
+def _volume_never_met(mesh, state, *args, **kwargs):
+    return mesh, False
+
+
+def test_line_search_without_a_restored_trial_collapses(monkeypatch, rng):
+    # the flat disk is critical; a bumped one is not, so the step searches
+    disk = perturb_normal(flat_disk(1.0, n_angular=16, n_rings=4), 0.05, rng)
+    cfg = solver.SolveConfig(mode="dirichlet_cmc")
+    state = solver.init_flow_state(disk, cfg)
+    monkeypatch.setattr(solver, "_restore_volume", _volume_never_met)
+    with pytest.raises(StepCollapseError, match="line search failed"):
+        solver.flow_step(disk, cfg, state)
+
+
+def test_unreachable_entry_volume_is_a_degenerate_mesh(monkeypatch):
+    disk = flat_disk(1.0, n_angular=16, n_rings=4)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    monkeypatch.setattr(solver, "_restore_volume", _volume_never_met)
+    with pytest.raises(MeshDegeneracyError, match="target volume"):
+        solver.solve_dirichlet_cmc(boundary, disk, target_volume=0.1)
 
 
 def test_restore_keeps_free_boundary_on_sphere(unit_sphere):
