@@ -100,44 +100,30 @@ def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
 
     theta_max = float(theta.max())
     n_rings = max(1, int(np.ceil(theta_max * sphere.radius / max(target_edge, 1e-12))))
-    new_pts = []
     apex_world = sphere.center + sphere.radius * pole
 
-    def ring_index(r: int, j: int) -> int:
-        # r = n_rings is the loop ring (indices 0..k-1); r in 1..n_rings-1 are
-        # interior rings stored consecutively in new_pts after the apex
-        if r == n_rings:
-            return j % k
-        return k + 1 + (n_rings - 1 - r) * k + (j % k)
+    # the apex is new vertex k; interior rings r = n_rings-1, ..., 1 follow it,
+    # k vertices each, at the fraction r / n_rings of each loop vertex's polar
+    # angle; ring n_rings is the loop itself (indices 0..k-1)
+    th = (np.arange(n_rings - 1, 0, -1) / n_rings)[:, None] * theta
+    pts_local = np.stack([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi),
+                          np.cos(th)], axis=-1).reshape(-1, 3)
+    new_pts = np.concatenate([apex_world[None, :],
+                              (pts_local @ rot) * sphere.radius + sphere.center])
 
-    apex_index = k  # first new vertex
-    new_pts.append(apex_world)
-    for r in range(n_rings - 1, 0, -1):
-        f = r / n_rings
-        th = theta * f
-        pts_local = np.column_stack([
-            np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)
-        ])
-        pts_world = (pts_local @ rot) * sphere.radius + sphere.center
-        new_pts.extend(pts_world)
+    r = np.arange(1, n_rings + 1)
+    ring = np.where(r == n_rings, 0, k + 1 + (n_rings - 1 - r) * k)[:, None] + np.arange(k)
+    ring_next = np.roll(ring, -1, axis=1)
 
     # Winding rule: every ring edge is traversed forward by the fan/strip
     # beneath it and backward by the strip above it; the outermost (loop) ring
     # is traversed backward only, which pairs with the source surface's own
     # forward traversal so the stitched mesh is consistently oriented.
-    faces = []
-    for j in range(k):
-        a, b = j, (j + 1) % k
-        faces.append([apex_index, ring_index(1, b), ring_index(1, a)])
-    for r in range(1, n_rings):
-        for j in range(k):
-            a0 = ring_index(r, j)
-            a1 = ring_index(r, j + 1)
-            b0 = ring_index(r + 1, j)
-            b1 = ring_index(r + 1, j + 1)
-            faces.append([a0, b1, b0])
-            faces.append([a0, a1, b1])
-    return np.asarray(new_pts), np.asarray(faces, dtype=np.int64)
+    fan = np.column_stack([np.full(k, k), ring_next[0], ring[0]])
+    a0, a1, b0, b1 = ring[:-1], ring_next[:-1], ring[1:], ring_next[1:]
+    strips = np.stack([np.stack([a0, b1, b0], axis=-1),
+                       np.stack([a0, a1, b1], axis=-1)], axis=2)
+    return new_pts, np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.int64)
 
 
 def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere, side: str = "near",

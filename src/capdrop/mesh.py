@@ -149,9 +149,11 @@ class TriMesh:
         if "boundary_directed_edges" not in self._topology:
             de = self.directed_edges
             n = self.n_vertices
-            keys = de[:, 0] * n + de[:, 1]
+            keys = np.sort(de[:, 0] * n + de[:, 1])
             rkeys = de[:, 1] * n + de[:, 0]
-            has_reverse = np.isin(keys, rkeys, assume_unique=False)
+            # edge i has a reverse when its reversed key is among the keys
+            pos = np.searchsorted(keys, rkeys)
+            has_reverse = keys[np.minimum(pos, len(keys) - 1)] == rkeys
             self._topology["boundary_directed_edges"] = de[~has_reverse]
         return self._topology["boundary_directed_edges"]
 

@@ -11,6 +11,7 @@ from capdrop.errors import (
 )
 from capdrop.geometry import Plane, unit
 from capdrop.mesh import TriMesh, build_mesh
+from capdrop.analytic import interior_drop_cap
 from capdrop.shapes import flat_annulus, flat_disk, icosphere
 
 TETRA_V = np.array([
@@ -106,6 +107,26 @@ def test_boundary_loops_ordered_consecutively():
     steps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     # consecutive boundary vertices are one edge apart
     assert steps.max() < 2.5 * steps.min()
+
+
+def _boundary_edges_reference(mesh):
+    """Directed edges (a, b) whose reverse (b, a) is absent, in face order."""
+    edges = [tuple(e) for e in mesh.directed_edges.tolist()]
+    present = set(edges)
+    kept = [e for e in edges if (e[1], e[0]) not in present]
+    return np.array(kept, dtype=np.int64).reshape(-1, 2)
+
+
+def test_boundary_directed_edges_match_set_reference(two_loop_band):
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(110.0))
+    meshes = [flat_disk(1.0, n_angular=32, n_rings=5),
+              drop.free_surface_mesh(n_angular=40, n_rings=16),
+              two_loop_band, icosphere(1)]
+    for m in meshes:
+        assert np.array_equal(m.boundary_directed_edges,
+                              _boundary_edges_reference(m))
+    assert len(two_loop_band.boundary_directed_edges) == 96
+    assert icosphere(1).boundary_directed_edges.shape == (0, 2)
 
 
 def test_boundary_vertex_mask():
