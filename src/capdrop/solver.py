@@ -10,8 +10,10 @@ height law H = kappa z + const instead of constant H).  Steps are Sobolev
 (H1) preconditioned projected gradients: the raw gradient is smoothed by a
 screened cotangent Laplacian, the volume-changing component is removed, a
 backtracking line search enforces descent, and the volume is restored
-exactly after every trial by a Newton correction along the interior volume
-gradient, so the constraint drifts only at round-off.
+after every trial by a chord iteration along the step's own preconditioned
+volume gradient, so the constraint drifts only at round-off.  One linear
+solve per step gives both the descent direction and that field; each
+restore iterate needs only its volume.
 
 Every position the flow visits is evaluated by one face pass
 (``_face_pass``): the face corners are gathered once, and their cross
@@ -314,45 +316,57 @@ def _project_rows(arr: np.ndarray, m: TriMesh, state: FlowState) -> np.ndarray:
     return out
 
 
-def _restore_direction(m: TriMesh, c: np.ndarray,
-                       state: FlowState) -> np.ndarray:
-    """Field along which volume corrections are applied, given the volume
-    gradient ``c`` at ``m``.
+def _restore_direction(m: TriMesh, state: FlowState, pc: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, float]:
+    """Field ``u`` along which volume corrections are applied at ``m``, and
+    the volume's slope ``c . u`` along it, with ``c`` the volume gradient at
+    ``m``.
 
-    The preconditioner solved against the projected volume gradient: smooth
-    on the preconditioner's length scale and fading toward pinned vertices.
-    Correcting along the raw (mass-weighted) gradient instead imprints the
-    mesh density pattern onto the surface as high-frequency normal noise,
-    and any field with a hard zero at a pinned boundary kinks the first
-    interior ring, on every single projection.
+    ``u`` is the preconditioner solved against the projected volume
+    gradient, projected again: smooth on the preconditioner's length scale
+    and fading toward pinned vertices.  Correcting along the raw
+    (mass-weighted) gradient instead imprints the mesh density pattern onto
+    the surface as high-frequency normal noise, and any field with a hard
+    zero at a pinned boundary kinks the first interior ring, on every single
+    projection.  A caller that has already solved for it passes the solve
+    ``pc``, and then no solve runs here.
     """
-    c = _project_rows(c, m, state)
-    lu = _preconditioner(m, state)
-    return _project_rows(lu.solve(c), m, state)
+    c = _at(m, state, volume=True, c=True).c
+    if pc is None:
+        pc = _preconditioner(m, state).solve(_project_rows(c, m, state))
+    u = _project_rows(pc, m, state)
+    return u, float((c * u).sum())
 
 
-def _restore_volume(m: TriMesh, state: FlowState, rel_tol: float = 1e-12,
+def _restore_volume(m: TriMesh, state: FlowState,
+                    direction: tuple[np.ndarray, float] | None = None,
+                    rel_tol: float = 1e-12,
                     max_iter: int = 30) -> tuple[TriMesh, bool]:
-    """Newton correction along the smoothed volume-gradient field; returns
-    the corrected mesh and whether the constraint was met.  The volume
-    gradient taken for the direction serves the first Newton iteration.
+    """Chord iteration along a fixed field onto the volume constraint;
+    returns the corrected mesh and whether the constraint was met.
+
+    ``direction`` is the ``(u, slope)`` of ``_restore_direction``: a flow
+    step passes the one it solved for at its start position, every other
+    caller has it derived at ``m``.  The slope stays fixed, so an iterate
+    asks only for its volume, and an iterate reached by a move asks for its
+    energy in the same face pass, where the line search's Armijo test finds
+    it.
 
     A free boundary moves along tangents of the substrate, which leave it
     at second order, so every iterate is snapped back onto it."""
-    scale = max(1.0, abs(state.volume_target))
-    p = _at(m, state, volume=True, c=True)
-    u = _restore_direction(m, p.c, state)
+    u, slope = _restore_direction(m, state) if direction is None else direction
+    if slope <= 0.0:
+        return m, False
+    tol = rel_tol * max(1.0, abs(state.volume_target))
+    p = _at(m, state, volume=True)
     for _ in range(max_iter):
-        p = _at(m, state, volume=True, c=True)
         r = state.volume_target - p.volume
-        if abs(r) <= rel_tol * scale:
+        if abs(r) <= tol:
             return m, True
-        denom = float((p.c * u).sum())
-        if denom <= 0.0:
-            return m, False
         m = m.with_vertices(
-            _snap_boundary(m.vertices + (r / denom) * u, m, state))
-    return m, False
+            _snap_boundary(m.vertices + (r / slope) * u, m, state))
+        p = _at(m, state, energy=True, volume=True)
+    return m, abs(state.volume_target - p.volume) <= tol
 
 
 def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray:
@@ -475,6 +489,14 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     """One volume-preserving descent step; returns the new mesh and a
     JSON-ready diagnostics dict.
 
+    The dict holds ``iteration``, ``gradNorm`` and ``multiplier`` at the
+    start position and ``energy``, ``volume``, ``step``, ``displacement``
+    and ``sideViolations`` of the accepted one (``step`` 0 when the step
+    did not move).  The diagnostics file adds the spreads ``maxHdev`` and
+    ``maxAngleDev`` at the start position (see ``_write_diag``).
+
+    One preconditioner solve gives the descent direction and the field
+    along which every trial of the line search is restored to the volume.
     A critical point is a fixed point: when the projected gradient norm is
     already below the stopping threshold the mesh is returned unchanged.
     Raises StepCollapseError when backtracking cannot find descent away
@@ -491,15 +513,11 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     state.multiplier = 0.5 * lam
     state.multiplier_history.append(state.multiplier)
 
-    interior = ~mesh.boundary_vertex_mask
-    q, _ = _pointwise_multiplier(g, c, interior)
     diag = {
         "iteration": state.iteration,
         "energy": e0,
         "volume": v0,
         "multiplier": state.multiplier,
-        "maxHdev": float(np.abs(q - q.mean()).max()) if q.size else math.nan,
-        "maxAngleDev": _cheap_angle_stats(mesh, state),
         "gradNorm": grad_norm,
         "step": 0.0,
         "displacement": 0.0,
@@ -512,6 +530,8 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     lu = _preconditioner(mesh, state)
     sol = lu.solve(np.hstack([g_proj, c_proj]))
     pg, pc = sol[:, :3], sol[:, 3:]
+    # every restore of this step moves along the start position's field
+    restore = _restore_direction(mesh, state, pc)
     denom = float((c_proj * pc).sum())
     lam_pre = float((c_proj * pg).sum()) / denom if denom != 0 else 0.0
     # volume-neutral by construction: c_proj . d = 0 through lam_pre, so
@@ -537,7 +557,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     accepted = None
     while t >= MIN_STEP:
         x = _snap_boundary(x0 + t * d, mesh, state)
-        m, ok = _restore_volume(mesh.with_vertices(x), state)
+        m, ok = _restore_volume(mesh.with_vertices(x), state, restore)
         if ok:
             e_t, v_t = _energy_volume(m, state)
             if e_t <= e0 + 1e-4 * t * slope:
@@ -558,7 +578,8 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     if gain < 0.49:
         t_ref = t / (2.0 * (1.0 - gain))
         x_ref = _snap_boundary(x0 + t_ref * d, mesh, state)
-        m_ref, ok = _restore_volume(mesh.with_vertices(x_ref), state)
+        m_ref, ok = _restore_volume(mesh.with_vertices(x_ref), state,
+                                    restore)
         if ok:
             e_ref, v_ref = _energy_volume(m_ref, state)
             if e_ref < e_t:
@@ -568,6 +589,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
 
     violations = 0
     if state.free_boundary:
+        interior = ~mesh.boundary_vertex_mask
         x = m.vertices
         sd = state.substrate.signed_distance(x[interior]) * state.side_sign
         bad = sd > 1e-7 * state.substrate.radius
@@ -579,7 +601,7 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
             x = x.copy()
             x[idx] = (state.substrate.center
                       + centered * (1.0 - state.side_sign * 1e-9))
-            m, _ = _restore_volume(mesh.with_vertices(x), state)
+            m, _ = _restore_volume(mesh.with_vertices(x), state, restore)
             e_t, v_t = _energy_volume(m, state)
         state.side_violation_streak = (state.side_violation_streak + 1
                                        if violations else 0)
@@ -646,13 +668,25 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
     return new, state
 
 
-def _write_diag(sink, diag: dict) -> None:
-    """One JSON line per step; a non-finite value is written as null."""
-    if sink is not None:
-        diag = {k: (None if isinstance(v, float) and not math.isfinite(v)
-                    else v) for k, v in diag.items()}
-        sink.write(json.dumps(diag, sort_keys=True, allow_nan=False,
-                              default=float) + "\n")
+def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
+    """One JSON line per step; a non-finite value is written as null.
+
+    The line adds to ``flow_step``'s fields the spreads at ``mesh``, the
+    step's start position, read from the gradients the step left there:
+    ``maxHdev`` of the pointwise multiplier over the interior vertices and,
+    on a free boundary, ``maxAngleDev`` of the normals' angles to the
+    substrate (NaN on a pinned one).  Nothing computes them without a sink.
+    """
+    if sink is None:
+        return
+    p = _at(mesh, state, c=True, g=True)
+    q, _ = _pointwise_multiplier(p.g, p.c, ~mesh.boundary_vertex_mask)
+    h_dev = float(np.abs(q - q.mean()).max()) if q.size else math.nan
+    diag = dict(diag, maxHdev=h_dev, maxAngleDev=_cheap_angle_stats(mesh, state))
+    diag = {k: (None if isinstance(v, float) and not math.isfinite(v)
+                else v) for k, v in diag.items()}
+    sink.write(json.dumps(diag, sort_keys=True, allow_nan=False,
+                          default=float) + "\n")
 
 
 def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
@@ -692,6 +726,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             if _measure(mesh, config, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
+        start = mesh
         try:
             mesh, diag = flow_step(mesh, config, state)
         except StepCollapseError:
@@ -699,7 +734,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             break
         steps += 1
         grad_norm = diag["gradNorm"]
-        _write_diag(sink, diag)
+        _write_diag(sink, diag, start, state)
         if (prev_e is not None and diag["step"] > 0
                 and diag["energy"] > prev_e + 1e-9 * (abs(prev_e) + 1)):
             raise SolverError(
@@ -815,10 +850,13 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
             info["stop"] = "gradient"
             return mesh, info
         if m_prev is None or m_cur == m_prev:
-            v_next = v_cur * (1.06 if m_cur < target else 1.0 / 1.06)
+            # growing a negative volume's magnitude lowers the volume
+            grow = (m_cur < target) == (v_cur > 0)
+            v_next = v_cur * (1.06 if grow else 1.0 / 1.06)
         else:
             v_next = v_cur + (target - m_cur) * (v_cur - v_prev) / (m_cur - m_prev)
-            v_next = min(max(v_next, 0.4 * v_cur), 2.5 * v_cur)
+            lo, hi = sorted((0.4 * v_cur, 2.5 * v_cur))
+            v_next = min(max(v_next, lo), hi)
         v_prev, m_prev = v_cur, m_cur
         v_cur = v_next
     if not abs(state.multiplier - target) <= tol:

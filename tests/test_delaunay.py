@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from capdrop.delaunay import (
     classify_delaunay, clip_profile_to_sphere, delaunay_profile,
     first_integral, surface_of_revolution,
 )
-from capdrop.errors import DegenerateConfigurationError
+from capdrop.errors import AxisSingularityError, DegenerateConfigurationError
 from capdrop.geometry import Sphere
 
 
@@ -151,3 +152,12 @@ def test_surface_of_revolution_valid_mesh():
     r = np.linalg.norm(m.vertices[:, :2], axis=1)
     assert r.min() == pytest.approx(prof.x.min(), abs=1e-9)
     assert r.max() == pytest.approx(prof.x.max(), abs=1e-9)
+
+
+def test_surface_of_revolution_rejects_an_interior_axis_row():
+    # only the profile's end rows may lie on the axis, where they become poles
+    prof = delaunay_profile(0.5, 0.3, s_span=(-3.0, 3.0), step=0.02)
+    x = prof.x.copy()
+    x[len(x) // 2] = 0.0
+    with pytest.raises(AxisSingularityError, match="interior profile row"):
+        surface_of_revolution(dataclasses.replace(prof, x=x))

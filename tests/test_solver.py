@@ -8,7 +8,8 @@ from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
                               interior_drop_cap)
 from capdrop.errors import (MeshDegeneracyError, SelfIntersectingPatchError,
-                            SolverError, StepCollapseError)
+                            SideViolationError, SolverError,
+                            StepCollapseError)
 from capdrop.geometry import Sphere
 from capdrop.shapes import flat_disk, perturb_normal
 from capdrop.wetting import make_wetting_operator
@@ -82,8 +83,32 @@ def test_rising_energy_raises_solver_error(monkeypatch):
         solver.solve_dirichlet_cmc(boundary, disk, cfg, target_volume=0.1)
 
 
+def test_crossing_the_substrate_raises_side_violation(monkeypatch,
+                                                     unit_sphere):
+    energies = iter(range(0, -100, -1))
+
+    def crossing_step(mesh, config, state):
+        state.side_violation_streak += 1
+        return mesh, {"step": 1.0, "energy": float(next(energies)),
+                      "gradNorm": math.inf}
+
+    monkeypatch.setattr(solver, "flow_step", crossing_step)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(70.0),
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=60,
+                             remesh_every=0)
+    with pytest.raises(SideViolationError, match="50 consecutive steps"):
+        solver.solve_capillary(unit_sphere, params, init, cfg)
+
+
 def _volume_never_met(mesh, state, *args, **kwargs):
     return mesh, False
+
+
+def _volume_met(mesh, state, *args, **kwargs):
+    return mesh, True
 
 
 def test_line_search_without_a_restored_trial_collapses(monkeypatch, rng):
@@ -119,6 +144,31 @@ def test_restore_keeps_free_boundary_on_sphere(unit_sphere):
     b = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
     assert report.iterations == 3
+
+
+@pytest.mark.parametrize("dm_dv", [0.0, 0.01])
+def test_volume_tuner_below_zero_moves_toward_zero(monkeypatch, dm_dv):
+    # the multiplier stays below the target and rises with the volume (or
+    # not at all): the tuner must raise a negative volume, which shrinks its
+    # magnitude; both the first x1.06 round and the clamp of the secant once
+    # grew it, by 2.5 a round
+    targets = []
+
+    def flow(mesh, config, state, sink=None, iteration_budget=None):
+        targets.append(state.volume_target)
+        state.multiplier = -0.05 + dm_dv * state.volume_target
+        return mesh, {"stop": "gradient", "steps": 1, "grad_norm": 0.0}
+
+    monkeypatch.setattr(solver, "_run_flow", flow)
+    monkeypatch.setattr(solver, "_restore_volume", _volume_met)
+    disk = flat_disk(1.0, n_angular=16, n_rings=4)
+    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=100)
+    state = solver.init_flow_state(disk, cfg, volume_target=-1e-3)
+    _, info = solver._tune_volume(disk, cfg, state, 2.0 / 3.0, None)
+    assert "missed curvature target" in info["stop"]
+    assert len(targets) == 24
+    assert all(v < 0.0 for v in targets)
+    assert all(abs(b) < abs(a) for a, b in zip(targets, targets[1:]))
 
 
 def test_missed_curvature_target_is_not_converged():
@@ -174,11 +224,19 @@ def _mesh_volume(mesh, sphere):
     return mesh.divergence_volume() + op.volume_term(mesh.vertices)
 
 
-def _diagnostics(path):
+def _finite(x):
+    return isinstance(x, float) and math.isfinite(x)
+
+
+def _diagnostics(path, free_boundary):
     lines = path.read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    assert all({"iteration", "energy", "volume", "gradNorm"} <= r.keys()
-               for r in records)
+    assert all({"iteration", "energy", "volume", "gradNorm", "maxHdev",
+                "maxAngleDev"} <= r.keys() for r in records)
+    assert all(_finite(r["maxHdev"]) for r in records)
+    # a pinned boundary has no contact angle: NaN, written as null
+    assert all(_finite(r["maxAngleDev"]) if free_boundary
+               else r["maxAngleDev"] is None for r in records)
     return records
 
 
@@ -194,7 +252,7 @@ def test_dirichlet_entry_point(tmp_path):
     # the pinned loop comes back bit for bit, whatever the remesh did inside
     out = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.array_equal(np.unique(out, axis=0), np.unique(boundary, axis=0))
-    assert len(_diagnostics(path)) == report.iterations > 0
+    assert len(_diagnostics(path, False)) == report.iterations > 0
 
 
 @pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
@@ -216,7 +274,7 @@ def test_free_boundary_entry_points(tmp_path, mode, solve):
     b = mesh.vertices[mesh.boundary_vertex_mask]
     assert (np.abs(np.linalg.norm(b, axis=1) - sphere.radius).max()
             <= 1e-12 * sphere.radius)
-    assert len(_diagnostics(path)) == report.iterations > 0
+    assert len(_diagnostics(path, True)) == report.iterations > 0
 
 
 def test_height_law_energy_gradients_fd(rng):
@@ -344,3 +402,43 @@ def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
     assert all(now is then for now, then in
                zip((state.operator, state.pinned, state._precond), kept))
     assert not state.needs_remesh and state.disp_since_remesh == 0.0
+
+
+class _CountingLU:
+    """A SuperLU factor that records the shape of every right-hand side."""
+
+    def __init__(self, lu, solves):
+        self._lu, self._solves = lu, solves
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, rhs):
+        self._solves.append(rhs.shape)
+        return self._lu.solve(rhs)
+
+
+@pytest.mark.parametrize("case", ["bumped_disk", "capillary_drop"])
+def test_flow_step_makes_one_solve(monkeypatch, rng, unit_sphere, case):
+    # the step's solve gives the descent direction and the field every
+    # trial is restored along; no restore solves again
+    solves = []
+    factor = solver.splu
+    monkeypatch.setattr(solver, "splu",
+                        lambda *a, **k: _CountingLU(factor(*a, **k), solves))
+    if case == "bumped_disk":
+        mesh = perturb_normal(flat_disk(1.0, n_angular=16, n_rings=4), 0.05,
+                              rng)
+        cfg = solver.SolveConfig(mode="dirichlet_cmc")
+    else:
+        drop, mesh = _small_drop()
+        params = CapillaryParams(gamma=math.radians(60.0),
+                                 target_volume=drop.volume)
+        cfg = solver.SolveConfig(mode="capillary", params=params,
+                                 substrate=unit_sphere)
+    state = solver.init_flow_state(mesh, cfg)
+    out, diag = solver.flow_step(mesh, cfg, state)
+    assert diag["step"] > 0.0
+    assert solves == [(mesh.n_vertices, 6)]
+    assert solver._at(out, state, volume=True).volume == pytest.approx(
+        state.volume_target, rel=1e-12)
