@@ -26,16 +26,14 @@ from .errors import (
     DegenerateConfigurationError,
     ZeroCurvatureError,
 )
-from .geometry import Sphere, rotation_between, unit
+from .geometry import Sphere, unit
 from .mesh import TriMesh
 from .shapes import spherical_cap_mesh
 
 __all__ = [
     "SphericalCapSpec",
     "spherical_caps_for_circle",
-    "cap_for_circle_height",
     "cap_volume",
-    "cap_volume_for_height",
     "CapDrop",
     "interior_drop_cap",
     "exterior_drop_cap",
@@ -50,14 +48,6 @@ def cap_volume(radius: float, height: float) -> float:
     if not 0.0 <= height <= 2.0 * radius:
         raise ValueError("dome height must lie in [0, 2R]")
     return math.pi * height * height * (3.0 * radius - height) / 3.0
-
-
-def cap_volume_for_height(circle_radius: float, height: float) -> float:
-    """Volume of the dome of height h over a disk of the given rim radius."""
-    r, h = circle_radius, height
-    if r <= 0 or h <= 0:
-        raise ValueError("circle radius and height must be positive")
-    return math.pi * h * (3.0 * r * r + h * h) / 6.0
 
 
 @dataclass(frozen=True)
@@ -88,15 +78,6 @@ class SphericalCapSpec:
     @property
     def apex(self) -> np.ndarray:
         return self.carrier.center + self.carrier.radius * self.axis
-
-    def boundary_points(self, n: int = 64) -> np.ndarray:
-        """n points on the rim circle, exact to round-off."""
-        rot = rotation_between(np.array([0.0, 0.0, 1.0]), self.axis)
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        zc = self.carrier.radius * math.cos(self.polar_angle)
-        rc = self.circle_radius
-        pts = np.column_stack([rc * np.cos(t), rc * np.sin(t), np.full(n, zc)])
-        return pts @ rot.T + self.carrier.center
 
     def mesh(self, n_angular: int = 64, n_rings: int | None = None) -> TriMesh:
         """Triangulation, wound outward with respect to the carrier sphere."""
@@ -143,21 +124,6 @@ def spherical_caps_for_circle(
         circle_radius=radius, height=big_r + offset,
         mean_curvature=abs(curvature))
     return small, large
-
-
-def cap_for_circle_height(
-    circle_radius: float,
-    height: float,
-    center: np.ndarray | tuple = (0.0, 0.0, 0.0),
-    normal: np.ndarray | tuple = (0.0, 0.0, 1.0),
-) -> SphericalCapSpec:
-    """The unique spherical cap over a circle with prescribed apex height."""
-    r, h = circle_radius, height
-    if r <= 0 or h <= 0:
-        raise ValueError("circle radius and height must be positive")
-    big_r = (r * r + h * h) / (2.0 * h)
-    small, large = spherical_caps_for_circle(r, 1.0 / big_r, center, normal)
-    return small if h <= big_r else large
 
 
 # --------------------------------------------------------------------------
@@ -419,9 +385,6 @@ class ContactAngleReport:
     mean: float
     max_deviation: float
     side: str
-
-    def loop_mean(self, i: int) -> float:
-        return float(np.mean(self.loop_angles[i]))
 
 
 def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",

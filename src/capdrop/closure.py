@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .errors import (
     AlreadyClosedError,
@@ -18,7 +19,7 @@ from .errors import (
     LoopsNotInHemisphereError,
     SelfIntersectingPatchError,
 )
-from .geometry import Sphere, open_hemisphere_pole, rotation_between, unit
+from .geometry import Sphere, rotation_between
 from .mesh import TriMesh
 from .spatial import MeshDistanceQuery, winding_numbers
 
@@ -57,8 +58,28 @@ class ClosedRegion:
     def patch_area(self) -> float:
         return float(self.mesh.face_areas[self.patch_face_mask].sum())
 
-    def surface_face_mask(self) -> np.ndarray:
-        return ~self.patch_face_mask
+
+def _max_margin_pole(q: np.ndarray) -> np.ndarray | None:
+    """Unit ``w`` maximising ``min_i dot(w, q_i)`` over the unit rows ``q``.
+
+    ``w`` points at the point of the convex hull of ``q`` nearest the origin,
+    found by one non-negative least-squares solve over ``q`` and a sum-to-one
+    row (Lawson & Hanson's least-distance program).  Unlike the LP vertex of
+    ``open_hemisphere_pole``, it lies inside a small loop.  Returns None when
+    the margin is at most 1e-9: no open hemisphere holds the rows.
+    """
+    e = np.vstack([q.T, np.ones(len(q))])
+    f = np.array([0.0, 0.0, 0.0, 1.0])
+    lam, _ = nnls(e, f)
+    r = e @ lam - f
+    # with p the nearest point, r = (p, -|p|^2) / (1 + |p|^2)
+    norm = float(np.linalg.norm(r[:3]))
+    if norm < 1e-300:
+        return None
+    w = r[:3] / norm
+    if float((q @ w).min()) <= 1e-9:
+        return None
+    return w
 
 
 def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
@@ -67,15 +88,14 @@ def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
 
     Returns (new_vertices, faces) where faces index first into the loop (0..k-1)
     and then into the new vertices (k, k+1, ...).  ``toward_pole`` picks the
-    domain on the side of the loop's hemisphere pole; otherwise its complement.
+    domain on the side of the loop's max-margin pole; otherwise its complement.
     """
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    cert = open_hemisphere_pole(q)
-    if cert is None:
+    pole = _max_margin_pole(q)
+    if pole is None:
         raise LoopsNotInHemisphereError("boundary loop is not contained in an open hemisphere")
-    pole, _ = cert
     if not toward_pole:
         pole = -pole
 

@@ -1,13 +1,15 @@
 """Discrete mean curvature.
 
-Two estimators are provided.  ``vertex_mean_curvature`` is the cotangent
-Laplacian with mixed Voronoi vertex areas; it is cheap, exact on the flow's
-own energy gradient, and is the measure used by the evolution loop.
+``cotangent_area_gradient`` is the gradient of the surface area in cotangent
+form and ``mixed_voronoi_areas`` gives the mixed Voronoi vertex areas; the
+flow's preconditioner is built from the face cotangents and those areas.
+The flow measures curvature variationally, from its energy gradient against
+its volume gradient, not with an estimator from this module.
 ``jet_mean_curvature`` fits a local cubic height field over a two-ring
 stencil, grown a ring at a time where it holds fewer than
 ``JET_MIN_SAMPLES`` neighbours (boundary vertices see their rings from one
-side only); it converges faster pointwise and also yields values at boundary
-vertices, so verification-grade curvature laws are checked against it.
+side only); it also yields values at boundary vertices, so
+verification-grade curvature laws are checked against it.
 Stencils are built for the requested vertices only, and all their fits are
 solved by one stacked SVD with the singular-value cutoff of
 ``np.linalg.lstsq``.
@@ -27,7 +29,7 @@ from scipy import sparse
 from .geometry import cross3
 from .mesh import TriMesh
 
-__all__ = ["vertex_mean_curvature", "jet_mean_curvature", "cotangent_area_gradient", "mixed_voronoi_areas"]
+__all__ = ["jet_mean_curvature", "cotangent_area_gradient", "mixed_voronoi_areas"]
 
 _COT_CLAMP = 1e6
 
@@ -101,30 +103,6 @@ def cotangent_area_gradient(mesh: TriMesh) -> np.ndarray:
     return mesh.scatter(vals, _EDGE_ENDS)
 
 
-def vertex_mean_curvature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangent-Laplacian mean curvature at interior vertices.
-
-    Returns
-    -------
-    h : (n,) array
-        Scalar mean curvature under the winding convention described in the
-        module docstring; NaN at boundary vertices (no interior stencil).
-    hvec : (n, 3) array
-        Mean-curvature vector (magnitude |H|, pointing outward on a convex
-        surface independent of winding); NaN rows at boundary vertices.
-    """
-    va = mixed_voronoi_areas(mesh)
-    k_int = cotangent_area_gradient(mesh)
-    hvec = k_int / np.maximum(2.0 * va[:, None], 1e-300)
-    h = -np.einsum("ij,ij->i", hvec, mesh.vertex_normals)
-    bdry = mesh.boundary_vertex_mask
-    h = h.copy()
-    h[bdry] = np.nan
-    hvec = hvec.copy()
-    hvec[bdry] = np.nan
-    return h, hvec
-
-
 def _stencils(mesh: TriMesh, indices: np.ndarray, rings: int):
     """Jet stencils of the vertices ``indices``, built for those rows only.
 
@@ -183,10 +161,10 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
         Fitted surface normals, co-oriented with the winding vertex normals;
         the winding vertex normal itself where ``h`` is NaN.
     h : (len(indices),) array
-        Mean curvature of the fit, same sign convention as
-        :func:`vertex_mean_curvature`; NaN where the vertex's connected
-        component has fewer than ``JET_MIN_SAMPLES`` other vertices, so the
-        stencil cannot grow to the minimum.
+        Mean curvature of the fit, under the module's sign convention; NaN
+        where the vertex's connected component has fewer than
+        ``JET_MIN_SAMPLES`` other vertices, so the stencil cannot grow to the
+        minimum.
     """
     v = mesh.vertices
     normals0 = mesh.vertex_normals

@@ -80,7 +80,3 @@ class MeshDegeneracyError(SolverError):
 
 class SideViolationError(SolverError):
     """The surface crossed to the wrong side of the substrate sphere and re-projection failed."""
-
-
-class UnknownFormatError(CapdropError):
-    """File extension/format not recognized by the converter."""

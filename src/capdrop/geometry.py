@@ -1,23 +1,19 @@
-"""Geometric primitives: spheres, planes, lines, and small linear-algebra helpers.
+"""Geometric primitives: the round sphere, rotations, an open-hemisphere
+certificate, and small linear-algebra helpers.
 
-All primitives are immutable dataclasses over float64 numpy arrays.  Planes
-store a unit normal and a scalar offset, so the plane is
-``{x : dot(normal, x) = offset}``; the constructor normalizes and rejects
-near-zero normals.
+``Sphere`` is an immutable dataclass over float64 numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Sphere", "Plane", "Line", "unit", "cross3", "rotation_from_axis_angle",
+    "Sphere", "unit", "cross3", "rotation_from_axis_angle",
     "rotation_between", "open_hemisphere_pole",
 ]
-
-_UNIT_TOL = 1e-12
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -111,74 +107,6 @@ class Sphere:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d = points - self.center
         return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Oriented plane ``{x : dot(normal, x) = offset}`` with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(n))
-        if norm < 1e-14:
-            raise ValueError("plane normal must be nonzero")
-        if abs(norm - 1.0) > _UNIT_TOL:
-            # normalize, rescaling the offset to keep the same point set
-            object.__setattr__(self, "normal", n / norm)
-            object.__setattr__(self, "offset", float(self.offset) / norm)
-        else:
-            object.__setattr__(self, "normal", n)
-            object.__setattr__(self, "offset", float(self.offset))
-
-    @classmethod
-    def from_point_normal(cls, point: np.ndarray, normal: np.ndarray) -> "Plane":
-        n = unit(normal)
-        return cls(n, float(np.dot(n, np.asarray(point, dtype=float))))
-
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points @ self.normal - self.offset
-
-    def reflect_points(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.signed_distance(points)
-        return points - 2.0 * d[:, None] * self.normal
-
-    def anchor(self) -> np.ndarray:
-        """A point on the plane (the foot of the origin)."""
-        return self.offset * self.normal
-
-    def angle_to(self, other: "Plane") -> float:
-        """Angle between the two planes in radians, in [0, pi/2]."""
-        c = abs(float(np.dot(self.normal, other.normal)))
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class Line:
-    """Straight line through ``point`` with unit ``direction``."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float).reshape(3))
-        object.__setattr__(self, "direction", unit(self.direction))
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = points - self.point
-        along = d @ self.direction
-        perp = d - np.outer(along, self.direction)
-        return np.linalg.norm(perp, axis=1)
-
-    def angle_to_direction(self, direction: np.ndarray) -> float:
-        """Angle between this line and a direction, in [0, pi/2]."""
-        c = abs(float(np.dot(self.direction, unit(direction))))
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 def open_hemisphere_pole(unit_points: np.ndarray, margin_tol: float = 1e-9):

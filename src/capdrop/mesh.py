@@ -1,4 +1,4 @@
-"""Triangle mesh type with validation, measures, and reflection.
+"""Triangle mesh type with validation, measures, and derived meshes.
 
 The mesh is indexed: ``vertices`` is an (n, 3) float64 array and ``faces`` an
 (m, 3) integer array.  Face winding is counterclockwise with respect to the
@@ -36,7 +36,7 @@ from .errors import (
     NonManifoldError,
     OpenMeshError,
 )
-from .geometry import Plane, cross3
+from .geometry import cross3
 
 logger = logging.getLogger(__name__)
 
@@ -254,13 +254,6 @@ class TriMesh:
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def centroid(self) -> np.ndarray:
-        """Area-weighted surface centroid."""
-        f = self.faces
-        face_mid = self.vertices[f].mean(axis=1)
-        w = self.face_areas
-        return (face_mid * w[:, None]).sum(axis=0) / w.sum()
-
     def divergence_volume(self) -> float:
         """Signed divergence-theorem volume sum (no closedness check).
 
@@ -341,11 +334,6 @@ class TriMesh:
         if translation is not None:
             v = v + np.asarray(translation, dtype=float)
         return TriMesh(v, self.faces.copy(), validate=False)
-
-    def reflected(self, plane: Plane) -> "TriMesh":
-        """Mirror image across ``plane``; winding flipped so the normal convention survives."""
-        v = plane.reflect_points(self.vertices)
-        return TriMesh(v, self.faces[:, [0, 2, 1]].copy(), validate=False)
 
     def submesh(self, face_mask: np.ndarray) -> "TriMesh":
         """Sub-mesh of the selected faces with compacted vertex indexing."""

@@ -1,4 +1,4 @@
-"""Mesh generators: icospheres, surfaces of revolution, disks, caps, patches.
+"""Mesh generators: icospheres, surfaces of revolution, flat disks and spherical caps.
 
 All generators produce outward-wound meshes (positive enclosed volume for the
 closed ones).  Flip with ``mesh.flipped()`` when a toward-region winding is
@@ -18,9 +18,6 @@ __all__ = [
     "revolve",
     "flat_disk",
     "spherical_cap_mesh",
-    "cylinder_mesh",
-    "grid_patch",
-    "flat_annulus",
     "perturb_normal",
 ]
 
@@ -228,37 +225,6 @@ def spherical_cap_mesh(sphere: Sphere, axis, polar_angle: float,
                               sphere.radius, n_angular)
     rot = rotation_between(np.array([0.0, 0.0, 1.0]), np.asarray(axis, dtype=float))
     return m.transformed(rotation=rot, translation=sphere.center)
-
-
-def cylinder_mesh(radius: float = 1.0, z0: float = -1.0, z1: float = 1.0,
-                  n_angular: int = 64, n_rows: int = 16) -> TriMesh:
-    """Open circular cylinder about the z-axis (two boundary loops), outward winding."""
-    zs = np.linspace(z0, z1, n_rows + 1)
-    prof_x = np.full(len(zs), float(radius))
-    return revolve(prof_x, zs, n_angular)
-
-
-def grid_patch(nx: int = 16, ny: int = 16, lx: float = 1.0, ly: float = 1.0) -> TriMesh:
-    """Flat rectangular patch in the z = 0 plane, winding toward +z."""
-    xs = np.linspace(-lx / 2.0, lx / 2.0, nx + 1)
-    ys = np.linspace(-ly / 2.0, ly / 2.0, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    idx = lambda i, j: i * (ny + 1) + j  # noqa: E731
-    faces = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            faces.append([a, b, c])
-            faces.append([a, c, d])
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64), validate=False)
-
-
-def flat_annulus(r_inner: float, r_outer: float, n_angular: int = 64, n_rings: int = 4,
-                 z: float = 0.0) -> TriMesh:
-    """Flat annulus in the plane ``z = const`` (two boundary loops), winding +z."""
-    rs = np.linspace(r_outer, r_inner, n_rings + 1)
-    return revolve(rs, np.full(len(rs), float(z)), n_angular)
 
 
 def perturb_normal(mesh: TriMesh, amplitude: float, rng: np.random.Generator,

@@ -115,6 +115,8 @@ class SolveConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.remesh_every < 0:
+            raise ValueError("remesh_every must be at least 0")
         if self.mode != "dirichlet_cmc":
             if self.substrate is None:
                 raise ValueError(f"{self.mode} mode needs a substrate sphere")

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from .mesh import TriMesh
 
-__all__ = ["winding_numbers", "point_mesh_distance", "MeshDistanceQuery"]
+__all__ = ["winding_numbers", "MeshDistanceQuery"]
 
 # point-face pairs per block of the winding kernel, which keeps about 20
 # temporaries of this size; of 2^15 to 2^20, 2^15 was the fastest on the
@@ -160,7 +160,3 @@ class MeshDistanceQuery:
             out[i] = min(np.sqrt(dsq.min()), upper[i])
         return out
 
-
-def point_mesh_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
-    """Exact unsigned distance from each point to the triangulated surface."""
-    return MeshDistanceQuery(mesh).distance(points)

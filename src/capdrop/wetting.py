@@ -203,9 +203,6 @@ class WettingOperator:
     def volume_term(self, vertices: np.ndarray) -> float:
         return self.side_sign * self.sphere.radius / 3.0 * self.area(vertices)
 
-    def volume_term_gradient(self, vertices: np.ndarray) -> np.ndarray:
-        return self.side_sign * self.sphere.radius / 3.0 * self.area_gradient(vertices)
-
     def z_moment_term(self, vertices: np.ndarray) -> float:
         return self.side_sign / (2.0 * self.sphere.radius) * self.z_cubed_flux(vertices)
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from capdrop.analytic import (
-    CapillaryParams, cap_for_circle_height, cap_volume, cap_volume_for_height,
-    contact_angle, exterior_drop_cap, interior_drop_cap,
-    spherical_caps_for_circle,
+    CapillaryParams, cap_volume, contact_angle, exterior_drop_cap,
+    interior_drop_cap, spherical_caps_for_circle,
 )
 from capdrop.errors import (
     BoundaryOffSphereError, CurvatureTooLargeError,
@@ -20,12 +19,6 @@ def test_cap_volume_closed_forms():
     # hemisphere and full ball
     assert cap_volume(1.0, 1.0) == pytest.approx(2 * math.pi / 3)
     assert cap_volume(1.0, 2.0) == pytest.approx(4 * math.pi / 3)
-    # same cap parametrized by its base circle
-    assert cap_volume_for_height(1.0, 1.0) == pytest.approx(2 * math.pi / 3)
-    h = 0.3
-    r = math.sqrt(2 * 1.7 * h - h * h)  # circle of a cap on a sphere R=1.7
-    assert cap_volume_for_height(r, h) == pytest.approx(cap_volume(1.7, h),
-                                                        rel=1e-12)
 
 
 def test_caps_for_unit_circle_curvature_half():
@@ -37,7 +30,8 @@ def test_caps_for_unit_circle_curvature_half():
     assert small.circle_radius == pytest.approx(1.0)
     # both caps share the carrier and pass through the circle
     assert np.allclose(small.carrier.center, large.carrier.center)
-    pts = small.boundary_points(16)
+    m = small.mesh(n_angular=16)
+    pts = m.vertices[m.boundary_loops()[0]]
     assert np.allclose(np.linalg.norm(pts[:, :2], axis=1), 1.0, atol=1e-12)
     assert np.allclose(pts[:, 2], 0.0, atol=1e-12)
 
@@ -60,11 +54,6 @@ def test_caps_for_circle_bad_curvature():
     small, large = spherical_caps_for_circle(1.0, 1.0)
     assert small.height == pytest.approx(1.0)
     assert large.height == pytest.approx(1.0)
-
-
-def test_cap_for_circle_height_inverts():
-    cap = cap_for_circle_height(1.0, 2.0 - math.sqrt(3.0))
-    assert cap.mean_curvature == pytest.approx(0.5, rel=1e-12)
 
 
 def test_interior_bulge_drop_relations():
@@ -205,7 +194,7 @@ def test_contact_angle_report_loops():
     mesh = drop.free_surface_mesh(n_angular=64, n_rings=32)
     rep = contact_angle(mesh, drop.substrate)
     assert len(rep.loops) == 1
-    assert rep.loop_mean(0) == pytest.approx(rep.mean)
+    assert np.mean(rep.loop_angles[0]) == pytest.approx(rep.mean)
     assert len(rep.angles) == len(rep.loops[0])
 
 

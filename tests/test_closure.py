@@ -5,13 +5,14 @@ import pytest
 
 from capdrop.analytic import interior_drop_cap
 from capdrop.closure import (
-    Containment, _loop_patch, close_with_spherical_patch, signed_containment,
+    Containment, _loop_patch, _max_margin_pole, close_with_spherical_patch,
+    signed_containment,
 )
 from capdrop.errors import (
     AlreadyClosedError, BoundaryOffSphereError, LoopsNotInHemisphereError,
     SelfIntersectingPatchError,
 )
-from capdrop.geometry import Sphere, open_hemisphere_pole, rotation_between
+from capdrop.geometry import rotation_between
 from capdrop.shapes import flat_disk, icosphere, spherical_cap_mesh
 
 
@@ -46,7 +47,7 @@ def test_closure_patch_face_mask_splits_mesh(unit_sphere):
     drop, free = cap_partition_surfaces(unit_sphere)
     near = close_with_spherical_patch(free, unit_sphere, side="near")
     assert near.patch_face_mask.sum() > 0
-    assert near.surface_face_mask().sum() == free.n_faces
+    assert (~near.patch_face_mask).sum() == free.n_faces
     # patch faces sit on the substrate sphere
     centers = near.mesh.vertices[near.mesh.faces[near.patch_face_mask]].mean(axis=1)
     assert np.abs(np.linalg.norm(centers, axis=1) - 1.0).max() < 5e-3
@@ -109,13 +110,32 @@ def test_closure_rejects_loop_with_backtracking_azimuth(unit_sphere):
         close_with_spherical_patch(notched, unit_sphere, side="near")
 
 
+@pytest.mark.parametrize("polar_angle", [0.05, 0.2, 0.6])
+def test_small_caps_close_about_any_axis(unit_sphere, polar_angle):
+    # the patch apex sits at the max-margin pole, inside the loop, so a
+    # small cap closes about an axis off the coordinate axes; the patch is
+    # the z-axis cap's, rotated
+    def close(axis):
+        return close_with_spherical_patch(spherical_cap_mesh(
+            unit_sphere, np.array(axis), polar_angle, n_angular=32),
+            unit_sphere)
+
+    ref = close([0.0, 0.0, 1.0])
+    for axis in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.3, 0.1, 1.0]):
+        region = close(axis)
+        assert region.mesh.is_closed
+        assert region.mesh.n_vertices == ref.mesh.n_vertices
+        assert region.patch_area() == pytest.approx(ref.patch_area(),
+                                                    rel=1e-12)
+
+
 def _loop_patch_reference(loop_pts, sphere, toward_pole, target_edge):
     """``_loop_patch``'s build as a double loop over rings and loop vertices,
     for well-formed loops (no guards)."""
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    pole, _ = open_hemisphere_pole(q)
+    pole = _max_margin_pole(q)
     if not toward_pole:
         pole = -pole
     rot = rotation_between(pole, np.array([0.0, 0.0, 1.0]))

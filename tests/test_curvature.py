@@ -5,36 +5,17 @@ import pytest
 
 from capdrop.curvature import (
     JET_MIN_SAMPLES, cotangent_area_gradient, jet_fit, jet_mean_curvature,
-    mixed_voronoi_areas, vertex_mean_curvature,
+    mixed_voronoi_areas,
 )
 from capdrop.analytic import interior_drop_cap
-from capdrop.shapes import (flat_disk, grid_patch, icosphere, perturb_normal,
+from capdrop.shapes import (flat_disk, icosphere, perturb_normal,
                             spherical_cap_mesh)
 from capdrop.geometry import Sphere
+from capdrop.mesh import TriMesh
 
 # Sign convention used throughout the package: h is measured against the
 # winding normal, so a sphere wound outward reads h = -1/R and the same
 # sphere wound inward reads h = +1/R.
-
-
-def test_cotan_curvature_sphere_both_windings():
-    m = icosphere(3, radius=2.0)
-    h, hvec = vertex_mean_curvature(m)
-    assert np.nanmean(h) == pytest.approx(-0.5, abs=5e-3)
-    assert np.nanstd(h) < 2e-2
-    hin, _ = vertex_mean_curvature(m.flipped())
-    assert np.nanmean(hin) == pytest.approx(0.5, abs=5e-3)
-    # curvature vector points outward on a convex body regardless of winding
-    d = np.einsum("ij,ij->i", hvec, m.vertices / 2.0)
-    assert np.all(d > 0.0)
-
-
-def test_curvature_nan_on_boundary():
-    disk = flat_disk(1.0, n_angular=16, n_rings=3)
-    h, _ = vertex_mean_curvature(disk)
-    assert np.all(np.isnan(h[disk.boundary_vertex_mask]))
-    assert np.all(np.isfinite(h[~disk.boundary_vertex_mask]))
-    assert np.nanmax(np.abs(h)) < 1e-10  # flat
 
 
 def test_mixed_voronoi_areas_partition_surface():
@@ -45,7 +26,7 @@ def test_mixed_voronoi_areas_partition_surface():
 
 
 def test_area_gradient_matches_finite_differences(rng):
-    m = grid_patch(6, 6, 1.0, 1.0)
+    m = flat_disk(0.5, n_angular=16, n_rings=3)
     v = m.vertices.copy()
     v[:, 2] += 0.05 * np.sin(3 * v[:, 0]) * np.cos(2 * v[:, 1])
     m = m.with_vertices(v)
@@ -61,7 +42,7 @@ def test_area_gradient_matches_finite_differences(rng):
 
 
 def test_inplace_mutation_after_invalidate():
-    m = grid_patch(4, 4, 1.0, 1.0)
+    m = flat_disk(0.5, n_angular=12, n_rings=2)
     a0 = m.surface_area()
     m.vertices[:, 2] += np.linspace(0.0, 0.3, m.n_vertices)
     m.invalidate_geometry()
@@ -122,8 +103,18 @@ def test_jet_fit_thin_boundary_stencil_grows_one_ring():
     assert np.allclose(n2, n3, rtol=0.0, atol=1e-12)
 
 
+def _grid2x2():
+    """The 3 x 3-vertex square grid of 2 x 2 cells, two faces per cell."""
+    gx, gy = np.meshgrid(np.arange(3.0), np.arange(3.0), indexing="ij")
+    v = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(9)])
+    a = np.array([0, 1, 3, 4])  # lower-left corner of each cell
+    faces = np.concatenate([np.column_stack([a, a + 3, a + 4]),
+                            np.column_stack([a, a + 4, a + 1])])
+    return TriMesh(v, faces)
+
+
 @pytest.mark.parametrize("mesh", [flat_disk(n_angular=8, n_rings=1),
-                                  grid_patch(2, 2)], ids=["disk8", "grid2x2"])
+                                  _grid2x2()], ids=["disk8", "grid2x2"])
 def test_jet_fit_nan_when_component_too_small(mesh):
     # 9 vertices: no stencil can reach JET_MIN_SAMPLES, so the growth loop
     # stops at the edge of the mesh and every value is NaN
@@ -223,10 +214,8 @@ def test_jet_fit_empty_indices():
 
 def test_jet_mean_curvature_saddle():
     # z = (x^2 - y^2)/2 has zero mean curvature at the origin
-    m = grid_patch(12, 12, 2.0, 2.0)
+    m = flat_disk(1.0, n_angular=48, n_rings=6)
     v = m.vertices
-    v[:, 0] -= 1.0
-    v[:, 1] -= 1.0
     v[:, 2] = 0.5 * (v[:, 0] ** 2 - v[:, 1] ** 2)
     h = jet_mean_curvature(m)
     i = int(np.argmin(np.linalg.norm(v[:, :2], axis=1)))

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from capdrop.geometry import (
-    Line, Plane, Sphere, open_hemisphere_pole, rotation_between,
-    rotation_from_axis_angle, unit,
+    Sphere, open_hemisphere_pole, rotation_between, rotation_from_axis_angle,
+    unit,
 )
 
 
@@ -59,34 +57,6 @@ def test_sphere_outward_normals():
 def test_sphere_rejects_bad_radius():
     with pytest.raises(ValueError):
         Sphere((0, 0, 0), -1.0)
-
-
-def test_plane_reflection_involution(rng):
-    pl = Plane(unit(np.array([1.0, -2.0, 0.5])), 0.7)
-    pts = rng.normal(size=(50, 3))
-    assert np.allclose(pl.reflect_points(pl.reflect_points(pts)), pts, atol=1e-12)
-
-
-def test_plane_reflection_fixes_plane():
-    pl = Plane.from_point_normal(np.array([0.0, 0.0, 2.0]),
-                                 np.array([0.0, 0.0, 1.0]))
-    p = np.array([[5.0, -1.0, 2.0]])
-    assert np.allclose(pl.reflect_points(p), p)
-    assert pl.signed_distance(np.array([[0.0, 0.0, 3.0]]))[0] == pytest.approx(1.0)
-
-
-def test_plane_angle_to():
-    a = Plane(np.array([0.0, 0.0, 1.0]), 0.0)
-    b = Plane(unit(np.array([1.0, 0.0, 1.0])), 0.0)
-    assert a.angle_to(b) == pytest.approx(math.pi / 4)
-
-
-def test_line_distance_and_angle():
-    ln = Line(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    d = ln.distance(np.array([[3.0, 4.0, 17.0]]))
-    assert d[0] == pytest.approx(5.0)
-    assert ln.angle_to_direction(np.array([0.0, 1.0, 1.0])) == pytest.approx(
-        math.pi / 4)
 
 
 def test_open_hemisphere_pole_cluster():

@@ -2,17 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from capdrop.errors import (
     DegenerateFaceError, InconsistentOrientationError, NonManifoldError,
     OpenMeshError,
 )
-from capdrop.geometry import Plane, unit
 from capdrop.mesh import TriMesh, build_mesh
 from capdrop.analytic import interior_drop_cap
-from capdrop.shapes import flat_annulus, flat_disk, icosphere
+from capdrop.shapes import flat_disk, icosphere, revolve
 
 TETRA_V = np.array([
     [0.0, 0.0, 0.0],
@@ -93,7 +90,7 @@ def test_boundary_loops_disk_and_annulus():
     loops = disk.boundary_loops()
     assert len(loops) == 1
     assert len(loops[0]) == 24
-    ann = flat_annulus(0.5, 1.0, n_angular=24, n_rings=3)
+    ann = revolve(np.linspace(1.0, 0.5, 4), np.zeros(4), n_angular=24)
     loops = ann.boundary_loops()
     assert len(loops) == 2
     lens = sorted(len(l) for l in loops)
@@ -143,11 +140,6 @@ def test_vertex_normals_unit_and_outward():
     assert np.all(np.sum(n * m.vertices, axis=1) > 0.9)
 
 
-def test_centroid_of_sphere():
-    m = icosphere(2, center=(1.0, 2.0, 3.0))
-    assert np.allclose(m.centroid(), [1.0, 2.0, 3.0], atol=1e-12)
-
-
 def test_submesh_keeps_referenced_vertices():
     m = icosphere(1)
     upper = m.face_normals[:, 2] > 0.0
@@ -161,30 +153,6 @@ def test_build_mesh_roundtrip():
     m = build_mesh(TETRA_V.tolist(), TETRA_F.tolist())
     assert isinstance(m, TriMesh)
     assert m.n_vertices == 4
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    nx=st.floats(-1, 1), ny=st.floats(-1, 1), nz=st.floats(-1, 1),
-    off=st.floats(-2, 2),
-)
-def test_reflect_involution(nx, ny, nz, off):
-    n = np.array([nx, ny, nz])
-    if np.linalg.norm(n) < 1e-3:
-        return
-    plane = Plane(unit(n), off)
-    m = icosphere(1)
-    back = m.reflected(plane).reflected(plane)
-    assert np.allclose(back.vertices, m.vertices, atol=1e-12)
-    assert np.array_equal(back.faces, m.faces)
-
-
-def test_reflect_preserves_enclosed_volume():
-    plane = Plane(unit(np.array([1.0, 1.0, 0.2])), 0.3)
-    m = icosphere(2)
-    r = m.reflected(plane)
-    # reflection reverses orientation; face order flip restores the winding
-    assert r.enclosed_volume() == pytest.approx(m.enclosed_volume(), rel=1e-12)
 
 
 def test_transformed_rigid_preserves_area():

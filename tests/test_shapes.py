@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from capdrop.geometry import Sphere
-from capdrop.shapes import (
-    cylinder_mesh, flat_annulus, flat_disk, grid_patch, icosphere,
-    revolve, spherical_cap_mesh,
-)
+from capdrop.shapes import flat_disk, icosphere, revolve, spherical_cap_mesh
 
 
 def test_icosphere_vertices_on_sphere():
@@ -70,26 +67,3 @@ def test_spherical_cap_mesh_rejects_full_sphere():
     s = Sphere((0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         spherical_cap_mesh(s, np.array([0.0, 0.0, 1.0]), math.pi)
-
-
-def test_cylinder_open_both_ends():
-    m = cylinder_mesh(1.0, -1.0, 1.0, n_angular=24, n_rows=6)
-    assert len(m.boundary_loops()) == 2
-    area = 2 * math.pi * 1.0 * 2.0
-    assert m.surface_area() == pytest.approx(area, rel=2e-2)
-
-
-def test_grid_patch_is_graph():
-    # centered on the origin, winding toward +z
-    m = grid_patch(8, 8, 2.0, 1.0)
-    assert m.vertices[:, 0].max() == pytest.approx(1.0)
-    assert m.vertices[:, 1].min() == pytest.approx(-0.5)
-    assert np.allclose(m.face_normals[:, 2], 1.0)
-    assert len(m.boundary_loops()) == 1
-
-
-def test_flat_annulus_two_loops_winding():
-    m = flat_annulus(0.4, 1.0, n_angular=32, n_rings=3, z=0.25)
-    assert np.allclose(m.vertices[:, 2], 0.25)
-    assert np.allclose(m.face_normals[:, 2], 1.0, atol=1e-12)
-    assert len(m.boundary_loops()) == 2

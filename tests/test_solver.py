@@ -182,6 +182,14 @@ def test_missed_curvature_target_is_not_converged():
     assert "missed curvature target 0.666667" in report.message
 
 
+def test_solve_config_rejects_bad_counts():
+    with pytest.raises(ValueError, match="max_iterations"):
+        solver.SolveConfig(mode="dirichlet_cmc", max_iterations=0)
+    with pytest.raises(ValueError, match="remesh_every"):
+        solver.SolveConfig(mode="dirichlet_cmc", remesh_every=-1)
+    assert solver.SolveConfig(mode="dirichlet_cmc", remesh_every=0).remesh_every == 0
+
+
 class _InitBuilt(Exception):
     pass
 
