@@ -192,17 +192,19 @@ def interior_drop_cap(rho: float, contact_polar_angle: float,
 
     The substrate is the sphere of radius rho about the origin; the drop
     sits inside it, wetting the polar patch above the contact circle at
-    polar angle ``contact_polar_angle``, and its free surface meets the
-    substrate at contact angle ``gamma`` (measured through the drop).
+    polar angle theta = ``contact_polar_angle``, and its free surface meets
+    the substrate at contact angle ``gamma`` (measured through the drop).
 
-    Solves for the carrier sphere center (0, 0, d) and radius R from
+    The carrier sphere's centre (0, 0, d) and radius R follow from the law
+    of sines in the meridian triangle (origin, contact point, carrier
+    centre):
 
-        R^2 = rho^2 - 2 z_c d + d^2,
-        cos(gamma) = sigma (rho^2 - z_c d) / (R rho),
+        d = rho sin(gamma) / sin(gamma - theta),
+        R = rho sin(theta) / |sin(gamma - theta)|.
 
-    with sigma = +1 for the upper carrier piece (meniscus) and -1 for the
-    lower piece (bulge); gamma == contact_polar_angle would require a flat
-    free surface and raises DegenerateConfigurationError.
+    gamma > theta gives the lower carrier piece (a bulge), gamma < theta the
+    upper one (a meniscus); gamma == theta would require a flat free
+    surface and raises DegenerateConfigurationError.
     """
     if rho <= 0:
         raise ValueError("substrate radius must be positive")
@@ -217,57 +219,12 @@ def interior_drop_cap(rho: float, contact_polar_angle: float,
         raise DegenerateConfigurationError(
             "gamma equals the contact polar angle: the free surface is a "
             "flat disk, not a spherical cap")
-    cg = math.cos(gamma)
-    sg2 = math.sin(gamma) ** 2
-    # quadratic in the carrier center height d (from squaring the angle law)
-    a = cg * cg * rho * rho - z_c * z_c
-    b = 2.0 * rho * rho * z_c * sg2
-    c = -(rho ** 4) * sg2
-    roots: list[float] = []
-    if abs(a) < 1e-14 * rho * rho:
-        if abs(b) > 0:
-            roots.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0:
-            raise DegenerateConfigurationError(
-                "no carrier sphere realizes the requested contact angle")
-        sq = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(sq, b)) if b != 0 else 0.5 * sq
-        if b == 0:
-            roots.extend([sq / (2 * a), -sq / (2 * a)])
-        else:
-            roots.extend([q / a, c / q])
-
-    candidates: list[tuple[float, float, int]] = []
-    for d in roots:
-        rr = rho * rho - 2.0 * z_c * d + d * d
-        if rr <= 0:
-            continue
-        big_r = math.sqrt(rr)
-        for sigma in (-1, 1):
-            if abs(sigma * (rho * rho - z_c * d) / (big_r * rho) - cg) > 1e-9:
-                continue
-            apex = d - big_r if sigma < 0 else d + big_r
-            if not -rho < apex < rho:
-                continue
-            if sigma < 0 and not apex < z_c:
-                continue
-            if sigma > 0 and not apex > z_c:
-                continue
-            if not any(abs(d - d0) < 1e-9 * rho for d0, _, _ in candidates):
-                candidates.append((d, big_r, sigma))
-    if not candidates:
-        raise DegenerateConfigurationError(
-            "no valid carrier piece realizes the requested contact angle")
-    if len(candidates) > 1:
-        # keep the candidate that reproduces gamma best; ties are a bug
-        candidates.sort(key=lambda t: abs(
-            t[2] * (rho * rho - z_c * t[0]) / (t[1] * rho) - cg))
-    d, big_r, sigma = candidates[0]
+    s = math.sin(gamma - theta)
+    d = rho * math.sin(gamma) / s
+    big_r = r_c / abs(s)
 
     v_wall = _wall_dome_volume(rho, z_c)
-    if sigma < 0:
+    if s > 0:
         piece = "lower"
         h_f = z_c - (d - big_r)
         volume = v_wall + cap_volume(big_r, h_f)
@@ -387,6 +344,19 @@ class ContactAngleReport:
     side: str
 
 
+def _drop_side(mesh: TriMesh, sphere: Sphere, side: str) -> str:
+    """``side`` checked, with "auto" resolved from the sign of the mean
+    signed distance of the mesh's interior vertices to the sphere."""
+    if side == "auto":
+        interior_mask = ~mesh.boundary_vertex_mask
+        probe = mesh.vertices[interior_mask] if interior_mask.any() else mesh.vertices
+        side = "interior" if float(
+            np.mean(sphere.signed_distance(probe))) <= 0.0 else "exterior"
+    if side not in ("interior", "exterior"):
+        raise ValueError("side must be 'auto', 'interior' or 'exterior'")
+    return side
+
+
 def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",
                   rings: int = 2, boundary_tol: float = 1e-6) -> ContactAngleReport:
     """Contact angle along each boundary loop of a surface on a sphere.
@@ -421,13 +391,7 @@ def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",
             f"boundary vertex off the sphere by {worst:.3g} "
             f"(tolerance {boundary_tol * rho:.3g})")
 
-    if side == "auto":
-        interior_mask = ~mesh.boundary_vertex_mask
-        probe = mesh.vertices[interior_mask] if interior_mask.any() else mesh.vertices
-        side = "interior" if float(
-            np.mean(sphere.signed_distance(probe))) <= 0.0 else "exterior"
-    if side not in ("interior", "exterior"):
-        raise ValueError("side must be 'auto', 'interior' or 'exterior'")
+    side = _drop_side(mesh, sphere, side)
     wall_sign = 1.0 if side == "interior" else -1.0
 
     normals_fit, _ = jet_fit(mesh, all_bnd, rings=rings)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     AlreadyClosedError,
@@ -19,7 +18,7 @@ from .errors import (
     LoopsNotInHemisphereError,
     SelfIntersectingPatchError,
 )
-from .geometry import Sphere, rotation_between
+from .geometry import Sphere, open_hemisphere_pole, rotation_between
 from .mesh import TriMesh
 from .spatial import MeshDistanceQuery, winding_numbers
 
@@ -59,43 +58,25 @@ class ClosedRegion:
         return float(self.mesh.face_areas[self.patch_face_mask].sum())
 
 
-def _max_margin_pole(q: np.ndarray) -> np.ndarray | None:
-    """Unit ``w`` maximising ``min_i dot(w, q_i)`` over the unit rows ``q``.
-
-    ``w`` points at the point of the convex hull of ``q`` nearest the origin,
-    found by one non-negative least-squares solve over ``q`` and a sum-to-one
-    row (Lawson & Hanson's least-distance program).  Unlike the LP vertex of
-    ``open_hemisphere_pole``, it lies inside a small loop.  Returns None when
-    the margin is at most 1e-9: no open hemisphere holds the rows.
-    """
-    e = np.vstack([q.T, np.ones(len(q))])
-    f = np.array([0.0, 0.0, 0.0, 1.0])
-    lam, _ = nnls(e, f)
-    r = e @ lam - f
-    # with p the nearest point, r = (p, -|p|^2) / (1 + |p|^2)
-    norm = float(np.linalg.norm(r[:3]))
-    if norm < 1e-300:
-        return None
-    w = r[:3] / norm
-    if float((q @ w).min()) <= 1e-9:
-        return None
-    return w
-
-
 def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
                 target_edge: float) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate the spherical domain bounded by one loop.
 
-    Returns (new_vertices, faces) where faces index first into the loop (0..k-1)
-    and then into the new vertices (k, k+1, ...).  ``toward_pole`` picks the
-    domain on the side of the loop's max-margin pole; otherwise its complement.
+    The apex is the loop's max-margin pole (:func:`open_hemisphere_pole`)
+    when ``toward_pole`` is set, and its antipode otherwise, which fills the
+    complementary domain.  Rings of the loop's own azimuths at fractions of
+    each loop vertex's polar angle about the apex join it to the loop, so
+    the loop must be star-shaped about the apex.  Returns (new_vertices,
+    faces) where faces index first into the loop (0..k-1) and then into the
+    new vertices (k, k+1, ...).
     """
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    pole = _max_margin_pole(q)
-    if pole is None:
+    found = open_hemisphere_pole(q)
+    if found is None:
         raise LoopsNotInHemisphereError("boundary loop is not contained in an open hemisphere")
+    pole = found[0]
     if not toward_pole:
         pole = -pole
 

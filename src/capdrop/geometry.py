@@ -109,34 +109,31 @@ class Sphere:
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def open_hemisphere_pole(unit_points: np.ndarray, margin_tol: float = 1e-9):
-    """Pole direction certifying that unit vectors sit in one open hemisphere.
+def open_hemisphere_pole(unit_points: np.ndarray):
+    """Max-margin pole of unit vectors: the unit ``w`` maximising
+    ``min_i dot(w, q_i)``.
 
-    Solves the feasibility program ``dot(w, q_i) >= 1`` (an LP in w, bounded
-    through an l1 objective); any solution, normalized, is a pole ``w`` with
-    ``dot(w, q_i) > 0`` for all i.  Returns ``(w, margin)`` with
-    ``margin = min_i dot(w, q_i)``, or ``None`` when no open hemisphere
-    contains the points (margin below ``margin_tol``), e.g. for a great
-    circle.
+    ``w`` points at the point of the convex hull of the ``q_i`` nearest the
+    origin, found by one non-negative least-squares solve over the ``q_i``
+    and a sum-to-one row (Lawson & Hanson's least-distance program).  It
+    lies inside a small loop and turns with the points under a rotation.
+    The solve is BVLS: scipy's ``nnls`` (1.17) stops at a wrong vertex on
+    some loops with exactly tied columns, e.g. 32 points at polar angle 1/3.
+    Returns ``(w, margin)`` with ``margin = min_i dot(w, q_i)``, or ``None``
+    when the margin is at most 1e-9: no open hemisphere contains the points,
+    e.g. for a great circle.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import lsq_linear
 
     q = np.atleast_2d(np.asarray(unit_points, dtype=float))
     if len(q) == 0:
         raise ValueError("need at least one point")
-    # variables: w = u - v with u, v >= 0; minimize sum(u + v) s.t. q (u - v) >= 1
-    a_ub = np.concatenate([-q, q], axis=1)
-    b_ub = -np.ones(len(q))
-    c = np.ones(6)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 6, method="highs")
-    if not res.success:
-        return None
-    w = res.x[:3] - res.x[3:]
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-14:
-        return None
-    w = w / norm
+    e = np.vstack([q.T, np.ones(len(q))])
+    f = np.array([0.0, 0.0, 0.0, 1.0])
+    r = lsq_linear(e, f, bounds=(0.0, np.inf), method="bvls").fun
+    # with p the nearest point, r = (p, -|p|^2) / (1 + |p|^2)
+    w = r[:3] / (np.linalg.norm(r[:3]) or 1.0)
     margin = float((q @ w).min())
-    if margin <= margin_tol:
+    if margin <= 1e-9:
         return None
     return w, margin

@@ -952,45 +952,43 @@ def _exterior_drop_at(rho: float, theta: float, gamma: float):
     """Exterior drop meeting the substrate at contact polar angle ``theta``
     with contact angle ``gamma``.
 
-    The carrier passes through the contact circle, so its radius follows
-    from its centre height d; the contact angle rises monotonically from 0
-    to pi - theta as d grows from 0, and d is found by bisection.
+    The carrier's centre (0, 0, d) and radius R follow from the law of
+    sines in the meridian triangle (origin, contact point, carrier centre):
+    d = rho sin(gamma) / sin(theta + gamma) and R = rho sin(theta) /
+    sin(theta + gamma), so a carrier exists for 0 < gamma < pi - theta.
     """
     if not 0.0 < gamma < math.pi - theta:
         raise DegenerateConfigurationError(
             "an exterior drop at this contact polar angle needs a contact "
             "angle in (0, pi - contact polar angle)")
-
-    def drop(d):
-        return exterior_drop_cap(
-            rho, d, math.hypot(rho * math.sin(theta), d - rho * math.cos(theta)))
-
-    lo, hi = 0.0, rho
-    while drop(hi).gamma < gamma:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if drop(mid).gamma < gamma:
-            lo = mid
-        else:
-            hi = mid
-    return drop(0.5 * (lo + hi))
+    s = math.sin(theta + gamma)
+    return exterior_drop_cap(rho, rho * math.sin(gamma) / s,
+                             rho * math.sin(theta) / s)
 
 
 def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
                             n_angular: int = 96):
-    """Analytic cap roughly matching the requested volume or curvature."""
+    """Analytic cap with the requested volume or mean curvature.
+
+    A volume target bisects the contact polar angle theta.  A curvature
+    target H inverts R = 1/|H| for theta, with k = R/rho: theta = atan2(k sin
+    gamma, 1 + k cos gamma) for an interior bulge (H > 0), atan2(k sin gamma,
+    k cos gamma - 1) for an interior meniscus (H < 0) and atan2(k sin gamma,
+    1 - k cos gamma) for an exterior drop, whose H = 1/R is always positive.
+    """
+    rho, gamma = sphere.radius, params.gamma
+
     def drop_at(theta):
         if params.side == "interior":
-            return interior_drop_cap(sphere.radius, theta, params.gamma)
-        return _exterior_drop_at(sphere.radius, theta, params.gamma)
+            return interior_drop_cap(rho, theta, gamma)
+        return _exterior_drop_at(rho, theta, gamma)
 
     if params.target_volume is not None:
         lo, hi = 0.05, math.pi - 0.05
         if params.side == "exterior":
             # the drop's volume grows without bound as the contact polar
             # angle nears pi - gamma, where the carrier flattens to a plane
-            hi = min(hi, math.pi - params.gamma)
+            hi = min(hi, math.pi - gamma)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             try:
@@ -1002,17 +1000,19 @@ def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
                 lo = mid
         drop = drop_at(0.5 * (lo + hi))
     else:
-        target_r = 1.0 / max(abs(params.target_curvature), 1e-9)
-        best, best_err = None, math.inf
-        for theta in np.linspace(0.08, math.pi - 0.08, 120):
-            try:
-                d = drop_at(theta)
-            except DegenerateConfigurationError:
-                continue
-            err = abs(d.carrier.radius - target_r)
-            if err < best_err:
-                best, best_err = d, err
-        drop = best
+        h = params.target_curvature
+        if h == 0.0 or (h < 0.0 and params.side == "exterior"):
+            raise DegenerateConfigurationError(
+                f"no {params.side} cap drop has mean curvature {h:g}")
+        k_sin = math.sin(gamma) / (abs(h) * rho)
+        k_cos = math.cos(gamma) / (abs(h) * rho)
+        if params.side == "exterior":
+            theta = math.atan2(k_sin, 1.0 - k_cos)
+        elif h > 0.0:
+            theta = math.atan2(k_sin, 1.0 + k_cos)
+        else:
+            theta = math.atan2(k_sin, k_cos - 1.0)
+        drop = drop_at(theta)
     return drop.free_surface_mesh(n_angular)
 
 

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .analytic import _drop_side
 from .closure import close_with_spherical_patch
 from .errors import LoopsNotInHemisphereError, WettingCalibrationError
-from .geometry import (Sphere, cross3, open_hemisphere_pole, rotation_between,
-                       unit)
+from .geometry import Sphere, cross3, open_hemisphere_pole, rotation_between
 from .mesh import TriMesh
+from .spatial import winding_numbers
 
 __all__ = [
     "WettingOperator",
@@ -229,29 +230,25 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
     the free surface wound out of the drop, the patch boundary (induced by
     the patch's own out-of-drop winding) runs opposite to the mesh loops,
     so the orientation sign is -1 for interior drops and +1 for exterior
-    ones.  Only the area-field pole needs calibrating: of the two
-    candidates, the valid one yields a positive patch area not exceeding
-    the sphere area.  When a meshed closure exists it cross-checks the
-    result.
+    ones.  Only the area-field pole needs calibrating: of the loops'
+    max-margin pole (:func:`open_hemisphere_pole`) and its antipode, the
+    valid one yields a positive patch area not exceeding the sphere area.
+    When a meshed closure exists it cross-checks the result: the closure of
+    the drop is the one with positive volume for an interior drop, and the
+    one that leaves out the substrate centre for an exterior drop.
     """
     _require_origin_centered(sphere)
     loops = tuple(np.asarray(l) for l in mesh.boundary_loops())
     if not loops:
         raise ValueError("mesh has no boundary to wet")
 
-    if side == "auto":
-        interior_mask = ~mesh.boundary_vertex_mask
-        probe = mesh.vertices[interior_mask] if interior_mask.any() else mesh.vertices
-        side = "interior" if float(
-            np.mean(sphere.signed_distance(probe))) <= 0.0 else "exterior"
-    if side not in ("interior", "exterior"):
-        raise ValueError("side must be 'auto', 'interior' or 'exterior'")
+    side = _drop_side(mesh, sphere, side)
     side_sign = 1.0 if side == "interior" else -1.0
     sign = -side_sign
 
     pts = np.concatenate([mesh.vertices[l] for l in loops])
-    lp = open_hemisphere_pole(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    base_pole = unit(lp[0]) if lp is not None else _loop_axis(pts)
+    found = open_hemisphere_pole(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    base_pole = found[0] if found is not None else _loop_axis(pts)
 
     rho = sphere.radius
     sphere_area = 4.0 * math.pi * rho * rho
@@ -273,7 +270,11 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
 
     try:
         region = close_with_spherical_patch(mesh, sphere, side="near")
-        if region.signed_volume < 0.0:
+        # an exterior drop closed by the patch it does not wet encloses the
+        # substrate ball as well, again with positive volume
+        holds_other = (region.signed_volume < 0.0 if side == "interior" else
+                       abs(winding_numbers(sphere.center[None], region.mesh)[0]) > 0.5)
+        if holds_other:
             region = close_with_spherical_patch(mesh, sphere, side="far")
         area_true = region.patch_area()
         if region.signed_volume < 0.0 or \

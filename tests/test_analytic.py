@@ -56,6 +56,20 @@ def test_caps_for_circle_bad_curvature():
     assert large.height == pytest.approx(1.0)
 
 
+# (theta, gamma) grid over (0, pi)^2, away from the flat case gamma = theta
+_GRID = [(t, g) for t in np.linspace(0.05, math.pi - 0.05, 61)
+         for g in np.linspace(0.05, math.pi - 0.05, 61) if abs(g - t) >= 0.05]
+
+
+def _angle_law_residual(drop, rho):
+    """|sigma (rho^2 - z_c d) / (R rho) - cos(gamma)|: the contact angle
+    between carrier and substrate, sigma = -1 for the lower piece."""
+    d = drop.carrier.center[2]
+    sigma = -1.0 if drop.piece == "lower" else 1.0
+    return abs(sigma * (rho * rho - drop.contact_height * d)
+               / (drop.carrier.radius * rho) - math.cos(drop.gamma))
+
+
 def test_interior_bulge_drop_relations():
     rho, theta, gamma = 1.0, math.radians(55.0), math.radians(110.0)
     drop = interior_drop_cap(rho, theta, gamma)
@@ -73,6 +87,14 @@ def test_interior_bulge_drop_relations():
     assert drop.volume > 0
     assert drop.wetted_area == pytest.approx(
         2 * math.pi * rho * (rho - z_c), rel=1e-12)
+    # every gamma > theta is a bulge inside the ball meeting the angle law
+    for theta, gamma in _GRID:
+        if gamma > theta:
+            drop = interior_drop_cap(rho, theta, gamma)
+            assert drop.piece == "lower"
+            assert -rho < drop.carrier.center[2] - drop.carrier.radius < \
+                drop.contact_height
+            assert _angle_law_residual(drop, rho) <= 2e-14
 
 
 def test_interior_meniscus_drop_relations():
@@ -85,6 +107,14 @@ def test_interior_meniscus_drop_relations():
     assert drop.mean_curvature_toward_drop == pytest.approx(-1.0 / R)
     # meniscus volume is the wall dome minus the free dome
     assert 0 < drop.volume < cap_volume(1.0, 1.0 - drop.contact_height)
+    # every gamma < theta is a meniscus inside the ball meeting the angle law
+    for theta, gamma in _GRID:
+        if gamma < theta:
+            drop = interior_drop_cap(1.0, theta, gamma)
+            assert drop.piece == "upper"
+            assert drop.contact_height < \
+                drop.carrier.center[2] + drop.carrier.radius < 1.0
+            assert _angle_law_residual(drop, 1.0) <= 2e-14
 
 
 def test_interior_drop_measured_contact_angle():

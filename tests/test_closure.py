@@ -5,14 +5,13 @@ import pytest
 
 from capdrop.analytic import interior_drop_cap
 from capdrop.closure import (
-    Containment, _loop_patch, _max_margin_pole, close_with_spherical_patch,
-    signed_containment,
+    Containment, _loop_patch, close_with_spherical_patch, signed_containment,
 )
 from capdrop.errors import (
     AlreadyClosedError, BoundaryOffSphereError, LoopsNotInHemisphereError,
     SelfIntersectingPatchError,
 )
-from capdrop.geometry import rotation_between
+from capdrop.geometry import open_hemisphere_pole, rotation_between
 from capdrop.shapes import flat_disk, icosphere, spherical_cap_mesh
 
 
@@ -135,7 +134,7 @@ def _loop_patch_reference(loop_pts, sphere, toward_pole, target_edge):
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    pole = _max_margin_pole(q)
+    pole, _ = open_hemisphere_pole(q)
     if not toward_pole:
         pole = -pole
     rot = rotation_between(pole, np.array([0.0, 0.0, 1.0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,14 +62,17 @@ def test_sphere_rejects_bad_radius():
 
 
 def test_open_hemisphere_pole_cluster():
-    th = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
-    pts = np.stack([0.3 * np.cos(th), 0.3 * np.sin(th),
-                    np.sqrt(1 - 0.09) * np.ones_like(th)], axis=1)
-    res = open_hemisphere_pole(pts)
-    assert res is not None
-    pole, margin = res
-    assert pole[2] > 0.9
-    assert margin > 0.5
+    # the max-margin pole of a regular loop is its axis; scipy's nnls
+    # returned a loop vertex on the 32-point loop at polar angle 1/3
+    for n, polar in ((40, math.asin(0.3)), (32, 1.0 / 3.0)):
+        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        pts = np.stack([np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th),
+                        np.cos(polar) * np.ones_like(th)], axis=1)
+        res = open_hemisphere_pole(pts)
+        assert res is not None
+        pole, margin = res
+        assert np.allclose(pole, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+        assert margin == pytest.approx(math.cos(polar), rel=1e-12)
 
 
 def test_open_hemisphere_pole_equator_fails():

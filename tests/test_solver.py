@@ -7,6 +7,7 @@ import pytest
 from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
                               interior_drop_cap)
+from capdrop.curvature import jet_mean_curvature
 from capdrop.errors import (MeshDegeneracyError, SelfIntersectingPatchError,
                             SideViolationError, SolverError,
                             StepCollapseError)
@@ -41,6 +42,44 @@ def test_exterior_default_init_from_curvature(unit_sphere):
 def test_exterior_drop_at_rejects_unreachable_gamma():
     with pytest.raises(solver.DegenerateConfigurationError):
         solver._exterior_drop_at(1.0, math.radians(80.0), math.radians(110.0))
+
+
+def test_exterior_drop_at_round_trips_gamma_and_theta():
+    # the carrier from the law of sines, read back through exterior_drop_cap
+    for rho in (0.5, 1.0, 2.0):
+        for theta in np.linspace(0.2, 2.9, 28):
+            for gamma in np.linspace(0.2, 2.9, 28):
+                if gamma > math.pi - theta - 0.1:
+                    continue
+                drop = solver._exterior_drop_at(rho, theta, gamma)
+                assert abs(drop.gamma - gamma) <= 1e-13
+                assert abs(drop.contact_polar_angle - theta) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma_deg", [40.0, 70.0, 110.0])
+@pytest.mark.parametrize("target", [1.5, -1.5])
+def test_default_init_from_curvature_keeps_its_sign(unit_sphere, gamma_deg,
+                                                     target):
+    # a positive target is a bulge, a negative one a meniscus; matching only
+    # |H| once gave gamma = 40 deg, +1.5 a meniscus and 110 deg, -1.5 a bulge
+    params = CapillaryParams(gamma=math.radians(gamma_deg),
+                             target_curvature=target)
+    mesh = solver._default_capillary_init(unit_sphere, params)
+    # jet_fit's H is negative on a convex surface wound outward
+    h = -np.median(jet_mean_curvature(mesh)[~mesh.boundary_vertex_mask])
+    assert h == pytest.approx(target, rel=0.02)
+    rep = contact_angle(mesh, unit_sphere, side="interior")
+    assert abs(rep.mean - params.gamma) < math.radians(0.15)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.5])
+def test_default_exterior_init_rejects_nonpositive_curvature(unit_sphere,
+                                                             target):
+    # every exterior cap drop has H = 1/R > 0
+    params = CapillaryParams(gamma=math.radians(110.0), side="exterior",
+                             target_curvature=target)
+    with pytest.raises(solver.DegenerateConfigurationError):
+        solver._default_capillary_init(unit_sphere, params)
 
 
 OFF_CENTRE = Sphere((0.0, 0.0, 0.5), 1.0)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from capdrop.analytic import exterior_drop_cap, interior_drop_cap
+from capdrop import solver
+from capdrop.analytic import (CapillaryParams, exterior_drop_cap,
+                              interior_drop_cap)
 from capdrop.closure import close_with_spherical_patch
 from capdrop.errors import GeometryError, WettingCalibrationError
-from capdrop.geometry import Sphere
+from capdrop.geometry import Sphere, rotation_from_axis_angle
 from capdrop.shapes import flat_disk
 from capdrop.wetting import (
     make_wetting_operator, surface_volume_gradient, surface_z_moment,
@@ -81,6 +85,77 @@ def test_exterior_orientation_and_volume():
     assert op.area(mesh.vertices) == pytest.approx(drop.wetted_area, rel=2e-3)
     vol = mesh.divergence_volume() + op.volume_term(mesh.vertices)
     assert vol == pytest.approx(drop.volume, rel=3e-3)
+
+
+@pytest.mark.parametrize("theta", [1.6, 1.8, 2.0])
+def test_exterior_drop_past_the_equator(unit_sphere, theta):
+    # the closure of the near patch holds drop and ball together, also with
+    # positive volume; the cross-check once compared the line integral with
+    # that complementary patch and refused every theta >= 1.6
+    drop = solver._exterior_drop_at(1.0, theta, 0.6)
+    mesh = drop.free_surface_mesh(n_angular=48)
+    op = make_wetting_operator(mesh, unit_sphere)
+    assert op.area(mesh.vertices) == pytest.approx(drop.wetted_area, rel=1e-2)
+    params = CapillaryParams(gamma=drop.gamma, side="exterior",
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=5)
+    _, report = solver.solve_capillary(unit_sphere, params, mesh, cfg)
+    assert report.iterations == 5
+
+
+def test_wetted_area_turns_with_the_drop(unit_sphere):
+    # the loop's max-margin pole turns with the loop, so the line-integral
+    # area is the same up to round-off in any frame; an LP vertex pole once
+    # moved it by 7.2e-6 relative on the exterior drop
+    drops = [interior_drop_cap(1.0, math.radians(55.0), math.radians(g))
+             for g in (40.0, 110.0)] + [exterior_drop_cap(1.0, 1.2, 0.6)]
+    for drop in drops:
+        mesh = drop.free_surface_mesh(n_angular=48)
+        upright = make_wetting_operator(mesh, unit_sphere).area(mesh.vertices)
+        for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0),
+                     (0.3, 0.1, 1.0)):
+            turned = mesh.transformed(
+                rotation=rotation_from_axis_angle(np.array(axis), 0.9))
+            area = make_wetting_operator(turned, unit_sphere).area(
+                turned.vertices)
+            assert area == pytest.approx(upright, rel=1e-12)
+    # a wide meniscus whose turned loop once calibrated against the wrong
+    # patch (line-integral area 1.76 against 12.0)
+    drop = interior_drop_cap(1.0, 2.75, 1.28)
+    turned = drop.free_surface_mesh(32).transformed(
+        rotation=rotation_from_axis_angle(np.array((0.3, 0.1, 1.0)), 1.5))
+    op = make_wetting_operator(turned, unit_sphere)
+    assert op.area(turned.vertices) == pytest.approx(drop.wetted_area,
+                                                     rel=1e-2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.sampled_from(["interior", "exterior"]),
+       rho=st.floats(0.5, 2.0), theta=st.floats(0.2, 2.9),
+       gamma=st.floats(0.2, 2.9),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       angle=st.floats(-math.pi, math.pi))
+# a symmetric loop on which scipy's nnls missed the max-margin pole
+@example(side="exterior", rho=1.0, theta=1.0 / 3.0, gamma=0.5,
+         axis=(0.0, 0.0, 1.0), angle=0.0)
+def test_wetting_operator_calibrates_in_any_frame(side, rho, theta, gamma,
+                                                  axis, angle):
+    if side == "interior":
+        assume(abs(gamma - theta) >= 0.1)
+        drop = interior_drop_cap(rho, theta, gamma)
+    else:
+        assume(gamma <= math.pi - theta - 0.1)
+        drop = solver._exterior_drop_at(rho, theta, gamma)
+    assume(np.linalg.norm(axis) >= 0.1)
+    mesh = drop.free_surface_mesh(n_angular=32)
+    turned = mesh.transformed(
+        rotation=rotation_from_axis_angle(np.array(axis), angle))
+    areas = [make_wetting_operator(m, drop.substrate).area(m.vertices)
+             for m in (mesh, turned)]
+    assert areas[1] == pytest.approx(areas[0], rel=1e-12)
+    for area in areas:
+        assert area == pytest.approx(drop.wetted_area, rel=1e-2)
 
 
 def test_equatorial_disk_hemisphere_patch(unit_sphere):
