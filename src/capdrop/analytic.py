@@ -331,6 +331,9 @@ class CapillaryParams:
 # --------------------------------------------------------------------------
 # contact-angle measurement
 
+# contact_angle needs every boundary vertex within this many radii of the sphere
+CONTACT_BOUNDARY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ContactAngleReport:
@@ -357,8 +360,8 @@ def _drop_side(mesh: TriMesh, sphere: Sphere, side: str) -> str:
     return side
 
 
-def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",
-                  rings: int = 2, boundary_tol: float = 1e-6) -> ContactAngleReport:
+def contact_angle(mesh: TriMesh, sphere: Sphere,
+                  side: str = "auto") -> ContactAngleReport:
     """Contact angle along each boundary loop of a surface on a sphere.
 
     The angle at a boundary vertex is the dihedral angle between the
@@ -370,14 +373,14 @@ def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",
     "auto" it is inferred from the sign of the mean signed distance of the
     interior vertices.
 
-    The surface normals come from :func:`jet_fit` with ``rings`` as the
+    The surface normals come from :func:`jet_fit` on its ``JET_RINGS``-ring
     starting stencil; boundary vertices see their rings from one side only,
     and their stencils grow a ring at a time until they hold
     ``JET_MIN_SAMPLES`` neighbours.  Where the connected component is too
     small for that, the winding vertex normal stands in for the fitted one.
 
     Raises BoundaryOffSphereError when a boundary vertex is farther than
-    boundary_tol * radius from the sphere.
+    ``CONTACT_BOUNDARY_TOL`` * radius from the sphere.
     """
     loops = mesh.boundary_loops()
     if not loops:
@@ -386,15 +389,15 @@ def contact_angle(mesh: TriMesh, sphere: Sphere, side: str = "auto",
     all_bnd = np.concatenate(loops)
     dist = np.abs(sphere.signed_distance(mesh.vertices[all_bnd]))
     worst = float(dist.max())
-    if worst > boundary_tol * rho:
+    if worst > CONTACT_BOUNDARY_TOL * rho:
         raise BoundaryOffSphereError(
             f"boundary vertex off the sphere by {worst:.3g} "
-            f"(tolerance {boundary_tol * rho:.3g})")
+            f"(tolerance {CONTACT_BOUNDARY_TOL * rho:.3g})")
 
     side = _drop_side(mesh, sphere, side)
     wall_sign = 1.0 if side == "interior" else -1.0
 
-    normals_fit, _ = jet_fit(mesh, all_bnd, rings=rings)
+    normals_fit, _ = jet_fit(mesh, all_bnd)
     loop_angles = []
     pos = 0
     for loop in loops:

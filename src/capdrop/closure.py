@@ -24,6 +24,11 @@ from .spatial import MeshDistanceQuery, winding_numbers
 
 __all__ = ["ClosedRegion", "close_with_spherical_patch", "signed_containment", "Containment"]
 
+# a loop to close lies within PATCH_BOUNDARY_TOL sphere radii of the sphere
+PATCH_BOUNDARY_TOL = 1e-3
+# a point within ON_BOUNDARY_TOL bbox diagonals of a region is on its boundary
+ON_BOUNDARY_TOL = 1e-6
+
 
 class Containment(IntEnum):
     OUTSIDE = -1
@@ -127,12 +132,12 @@ def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
     return new_pts, np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.int64)
 
 
-def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere, side: str = "near",
-                               boundary_tol: float | None = None) -> ClosedRegion:
+def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere,
+                               side: str = "near") -> ClosedRegion:
     """Close every boundary loop of ``mesh`` with a patch of ``sphere``.
 
-    Each loop must lie on the sphere (within ``boundary_tol``, default
-    ``1e-3 * radius``) and inside an open hemisphere.  ``side="near"`` fills
+    Each loop must lie on the sphere (within ``PATCH_BOUNDARY_TOL`` times
+    its radius) and inside an open hemisphere.  ``side="near"`` fills
     the spherical domain around each loop's own hemisphere pole; ``side="far"``
     fills the complementary domain (single-loop meshes only, since the far
     domains of several loops overlap).  The patch is wound so the closed mesh
@@ -151,8 +156,7 @@ def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere, side: str = "near"
         raise AlreadyClosedError("mesh is closed; nothing to close")
     if side == "far" and len(loops) > 1:
         raise ValueError("side='far' is only defined for a single boundary loop")
-    if boundary_tol is None:
-        boundary_tol = 1e-3 * sphere.radius
+    boundary_tol = PATCH_BOUNDARY_TOL * sphere.radius
     all_bnd = np.concatenate(loops)
     dist = np.abs(sphere.signed_distance(mesh.vertices[all_bnd]))
     if dist.max() > boundary_tol:
@@ -187,13 +191,12 @@ def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere, side: str = "near"
     return ClosedRegion(mesh=closed, patch_face_mask=mask, sphere=sphere, side=side)
 
 
-def signed_containment(region: ClosedRegion | TriMesh, points: np.ndarray,
-                       tol: float | None = None,
-                       distance_query: MeshDistanceQuery | None = None) -> np.ndarray:
+def signed_containment(region: ClosedRegion | TriMesh,
+                       points: np.ndarray) -> np.ndarray:
     """Classify points against a closed region: inside, outside, or on-boundary.
 
-    Points within ``tol`` of the surface (default ``1e-6`` times the bounding
-    box diagonal) are ``ON_BOUNDARY``; elsewhere the generalized winding
+    Points within ``ON_BOUNDARY_TOL`` times the bounding box diagonal of the
+    surface are ``ON_BOUNDARY``; elsewhere the generalized winding
     number decides.  Winding parity is evaluated against the region's own
     volume sign, so the classification does not depend on whether the region
     was handed over wound outward or inward.
@@ -206,11 +209,9 @@ def signed_containment(region: ClosedRegion | TriMesh, points: np.ndarray,
         vol = mesh.enclosed_volume()
         sign = 1.0 if vol >= 0 else -1.0
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if tol is None:
-        tol = 1e-6 * mesh.bbox_diagonal()
+    tol = ON_BOUNDARY_TOL * mesh.bbox_diagonal()
     w = winding_numbers(points, mesh) * sign
     labels = np.where(w > 0.5, int(Containment.INSIDE), int(Containment.OUTSIDE))
-    q = distance_query if distance_query is not None else MeshDistanceQuery(mesh)
-    d = q.distance(points)
+    d = MeshDistanceQuery(mesh).distance(points)
     labels = np.where(d <= tol, int(Containment.ON_BOUNDARY), labels)
     return labels.astype(np.int64)

@@ -5,8 +5,8 @@ form and ``mixed_voronoi_areas`` gives the mixed Voronoi vertex areas; the
 flow's preconditioner is built from the face cotangents and those areas.
 The flow measures curvature variationally, from its energy gradient against
 its volume gradient, not with an estimator from this module.
-``jet_mean_curvature`` fits a local cubic height field over a two-ring
-stencil, grown a ring at a time where it holds fewer than
+``jet_mean_curvature`` fits a local cubic height field over a
+``JET_RINGS``-ring (two-ring) stencil, grown a ring at a time where it holds fewer than
 ``JET_MIN_SAMPLES`` neighbours (boundary vertices see their rings from one
 side only); it also yields values at boundary vertices, so
 verification-grade curvature laws are checked against it.
@@ -37,6 +37,9 @@ _COT_CLAMP = 1e6
 # a stencil of 10 or 11 one-sided samples at a boundary vertex is too
 # ill-conditioned to trust (Cazals & Pouget 2003).
 JET_MIN_SAMPLES = 12
+
+# rings of a jet stencil before it grows to JET_MIN_SAMPLES
+JET_RINGS = 2
 
 
 def _face_cotangents(mesh: TriMesh) -> np.ndarray:
@@ -136,7 +139,7 @@ def _stencils(mesh: TriMesh, indices: np.ndarray, rings: int):
 
 
 def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
-            rings: int = 2) -> tuple[np.ndarray, np.ndarray]:
+            rings: int = JET_RINGS) -> tuple[np.ndarray, np.ndarray]:
     """Local cubic height-field fit at the requested vertices.
 
     For each vertex a frame is built from the winding vertex normal, the
@@ -230,6 +233,7 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     return n_out, h_out
 
 
-def jet_mean_curvature(mesh: TriMesh, rings: int = 2) -> np.ndarray:
-    """Mean curvature from the local cubic fit at every vertex (boundary included)."""
-    return jet_fit(mesh, None, rings)[1]
+def jet_mean_curvature(mesh: TriMesh) -> np.ndarray:
+    """Mean curvature from the local cubic fit at every vertex (boundary
+    included), on stencils of ``JET_RINGS`` rings."""
+    return jet_fit(mesh, None)[1]

@@ -128,7 +128,7 @@ class DelaunayProfile:
                                ss, xs, zs, ps, vt, self._legs)
 
 
-def _rhs(s, y, h):
+def _rhs(_s, y, h):
     x, _, psi = y
     return (math.cos(psi), math.sin(psi), 2.0 * h - math.sin(psi) / x)
 
@@ -202,12 +202,12 @@ def delaunay_profile(
     elif x_neck > 1e-2 * x_floor:
         x_floor = 1e2 * x_neck
 
-    def axis_event(s, y, _h):
+    def axis_event(_s, y, _h):
         return y[0] - x_floor
     axis_event.terminal = True
     axis_event.direction = -1.0
 
-    def vertical_event(s, y, _h):
+    def vertical_event(_s, y, _h):
         return math.cos(y[2])
     vertical_event.terminal = False
 

@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["TriMesh", "build_mesh"]
 
+# validation reports faces with area below AREA_FLOOR * (bbox diagonal)**2
+AREA_FLOOR = 1e-14
+
 
 class TriMesh:
     """Oriented triangle mesh.
@@ -53,14 +56,13 @@ class TriMesh:
     faces : array_like
         (m, 3) vertex indices, counterclockwise w.r.t. the surface normal.
     validate : bool
-        Run manifold/orientation/degeneracy checks (default True).  Internal
-        callers that have already validated may pass False.
-    area_floor : float
-        Faces with area below ``area_floor * (bbox diagonal)**2`` are
-        reported as degenerate.
+        Run manifold/orientation/degeneracy checks (default True); faces
+        with area below ``AREA_FLOOR * (bbox diagonal)**2`` are reported as
+        degenerate.  Internal callers that have already validated may pass
+        False.
     """
 
-    def __init__(self, vertices, faces, validate: bool = True, area_floor: float = 1e-14):
+    def __init__(self, vertices, faces, validate: bool = True):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -72,11 +74,11 @@ class TriMesh:
         self._cache: dict = {}
         self._topology: dict = {}
         if validate:
-            self._validate(area_floor)
+            self._validate()
 
     # -- construction/validation ------------------------------------------------
 
-    def _validate(self, area_floor: float) -> None:
+    def _validate(self) -> None:
         f = self.faces
         if f.size == 0:
             raise ValueError("mesh has no faces")
@@ -84,7 +86,7 @@ class TriMesh:
         if np.any(same):
             raise DegenerateFaceError(f"faces with repeated vertices: {np.nonzero(same)[0][:8].tolist()}")
         areas = self.face_areas
-        floor = area_floor * max(self.bbox_diagonal(), 1e-30) ** 2
+        floor = AREA_FLOOR * max(self.bbox_diagonal(), 1e-30) ** 2
         bad = np.nonzero(areas <= floor)[0]
         if bad.size:
             raise DegenerateFaceError(f"zero-area faces: {bad[:8].tolist()}")

@@ -28,21 +28,25 @@ The Sobolev preconditioner M + alpha L is symmetric positive definite and
 is factored with a symmetric ordering and diagonal pivots.
 
 Three modes share the engine.  ``dirichlet_cmc`` pins the boundary polyline
-and drops the wetting terms; ``capillary`` lets boundary vertices slide
-tangentially on the substrate sphere; ``prescribed_height_curvature`` adds
-the kappa term and requires the boundary in the upper open hemisphere.
-The three ``solve_*`` entry points check their own arguments and then take
-one shared path: a fixed volume runs the flow once, a curvature target runs
-a secant on the volume around it.
+and drops the wetting terms; ``capillary`` (kappa = 0) lets boundary
+vertices slide tangentially on the substrate sphere;
+``prescribed_height_curvature`` adds the kappa term and requires the
+boundary in the upper open hemisphere.  The three ``solve_*`` entry points
+check their own arguments and then take one shared path: a fixed volume
+runs the flow once, a curvature target runs a secant on the volume around
+it.  Past ``init_flow_state`` the flow reads the problem from its state
+alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
-``substrate`` (both required outside ``dirichlet_cmc``), ``max_iterations``,
-``remesh_every`` (0 turns off the periodic remesh and the early measured
-stop; a remesh still runs when quality demands it) and ``diagnostics_path``
-(one JSON line per flow step).  Step sizes, tolerances and the quality floor
-are the module constants below; the remesher's target edge length and the
-Sobolev length (a quarter of the bounding-box diagonal, fixed for the
-solve) come from the init mesh.
+``substrate`` (both required outside ``dirichlet_cmc``, which ignores
+them), ``max_iterations``, ``remesh_every`` (0 turns off the periodic
+remesh and the early measured stop; a remesh still runs when quality
+demands it) and ``diagnostics_path`` (one JSON line per flow step).  Step
+sizes, tolerances (the volume restore's ``RESTORE_REL_TOL`` and
+``RESTORE_MAX_ITER`` among them) and the quality floor are the module
+constants below; the remesher's target edge length and the Sobolev length
+(a quarter of the bounding-box diagonal, fixed for the solve) come from the
+init mesh.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -97,6 +101,8 @@ H_DEV_FACTOR = 1e-3            # H constancy: factor * (|H| + H scale)
 ANGLE_TOL = math.radians(1.0)
 MULTIPLIER_TOL_FACTOR = 5e-4   # curvature targets: factor * (|H| + H scale)
 QUALITY_FLOOR = 0.08           # a step below this quality asks for a remesh
+RESTORE_REL_TOL = 1e-12        # volume restore: factor * max(1, |target|)
+RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
 
 
 @dataclass
@@ -122,6 +128,10 @@ class SolveConfig:
                 raise ValueError(f"{self.mode} mode needs a substrate sphere")
             if self.params is None:
                 raise ValueError(f"{self.mode} mode needs CapillaryParams")
+            if self.mode == "capillary" and self.params.kappa != 0.0:
+                raise ValueError(
+                    "capillary mode needs kappa = 0; the height law H = "
+                    "kappa z + mu is prescribed_height_curvature mode")
 
 
 @dataclass
@@ -152,16 +162,17 @@ class SolveReport:
 
 @dataclass
 class FlowState:
-    """Mutable per-solve scratch carried between flow steps."""
+    """Mutable per-solve scratch carried between flow steps.
+
+    ``operator`` is the wetting operator of a free boundary, None when the
+    boundary is pinned; its ``sphere`` is the substrate and its
+    ``side_sign`` the drop's side.  ``kappa`` is nonzero only under the
+    height law."""
 
     volume_target: float
     gamma: float
     kappa: float
     operator: WettingOperator | None
-    substrate: Sphere | None
-    pinned: np.ndarray
-    free_boundary: bool
-    side_sign: int
     target_edge: float
     sobolev_alpha: float
     step: float
@@ -309,10 +320,11 @@ def _energy_volume(m: TriMesh, state: FlowState) -> tuple[float, float]:
 
 def _project_rows(arr: np.ndarray, m: TriMesh, state: FlowState) -> np.ndarray:
     out = arr.copy()
-    out[state.pinned] = 0.0
-    if state.free_boundary:
-        bmask = m.boundary_vertex_mask
-        n = state.substrate.outward_normals(m.vertices[bmask])
+    bmask = m.boundary_vertex_mask
+    if state.operator is None:
+        out[bmask] = 0.0
+    else:
+        n = state.operator.sphere.outward_normals(m.vertices[bmask])
         rows = out[bmask]
         out[bmask] = rows - n * (rows * n).sum(1)[:, None]
     return out
@@ -341,12 +353,13 @@ def _restore_direction(m: TriMesh, state: FlowState, pc: np.ndarray | None = Non
 
 
 def _restore_volume(m: TriMesh, state: FlowState,
-                    direction: tuple[np.ndarray, float] | None = None,
-                    rel_tol: float = 1e-12,
-                    max_iter: int = 30) -> tuple[TriMesh, bool]:
+                    direction: tuple[np.ndarray, float] | None = None
+                    ) -> tuple[TriMesh, bool]:
     """Chord iteration along a fixed field onto the volume constraint;
-    returns the corrected mesh and whether the constraint was met.
+    returns the corrected mesh and whether the constraint was met to
+    ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves.
 
+    A mesh already on target is returned before any direction is derived.
     ``direction`` is the ``(u, slope)`` of ``_restore_direction``: a flow
     step passes the one it solved for at its start position, every other
     caller has it derived at ``m``.  The slope stays fixed, so an iterate
@@ -356,26 +369,28 @@ def _restore_volume(m: TriMesh, state: FlowState,
 
     A free boundary moves along tangents of the substrate, which leave it
     at second order, so every iterate is snapped back onto it."""
+    tol = RESTORE_REL_TOL * max(1.0, abs(state.volume_target))
+    p = _at(m, state, volume=True)
+    if abs(state.volume_target - p.volume) <= tol:
+        return m, True
     u, slope = _restore_direction(m, state) if direction is None else direction
     if slope <= 0.0:
         return m, False
-    tol = rel_tol * max(1.0, abs(state.volume_target))
-    p = _at(m, state, volume=True)
-    for _ in range(max_iter):
+    for _ in range(RESTORE_MAX_ITER):
         r = state.volume_target - p.volume
-        if abs(r) <= tol:
-            return m, True
         m = m.with_vertices(
             _snap_boundary(m.vertices + (r / slope) * u, m, state))
         p = _at(m, state, energy=True, volume=True)
-    return m, abs(state.volume_target - p.volume) <= tol
+        if abs(state.volume_target - p.volume) <= tol:
+            return m, True
+    return m, False
 
 
 def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray:
-    if state.free_boundary:
+    if state.operator is not None:
         bmask = conn.boundary_vertex_mask
         x = x.copy()
-        x[bmask] = state.substrate.project(x[bmask])
+        x[bmask] = state.operator.sphere.project(x[bmask])
     return x
 
 
@@ -406,9 +421,10 @@ def _preconditioner(m: TriMesh, state: FlowState):
     L = _cotan_laplacian(m, cots)
     M = sparse.diags(np.maximum(mixed_voronoi_areas(m, cots), 1e-300))
     A = (M + state.sobolev_alpha * L).tocsr()
-    if state.pinned.any():
-        free = sparse.diags((~state.pinned).astype(float))
-        A = free @ A @ free + sparse.diags(state.pinned.astype(float))
+    pinned = m.boundary_vertex_mask
+    if state.operator is None and pinned.any():
+        free = sparse.diags((~pinned).astype(float))
+        A = free @ A @ free + sparse.diags(pinned.astype(float))
     # A is symmetric positive definite: a symmetric ordering and diagonal
     # pivots give a sparser factor than the default column ordering
     state._precond = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -436,46 +452,24 @@ def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
     return (g[interior][ok] * c[interior][ok]).sum(1) / (2.0 * cn2[ok]), ok
 
 
-def _cheap_angle_stats(m: TriMesh, state: FlowState):
-    if not state.free_boundary:
-        return math.nan
-    bmask = m.boundary_vertex_mask
-    n = m.vertex_normals[bmask]
-    s = state.substrate.outward_normals(m.vertices[bmask]) * state.side_sign
-    ang = np.arccos(np.clip(-(n * s).sum(1), -1.0, 1.0))
-    return float(np.abs(ang - ang.mean()).max())
-
-
 # --------------------------------------------------------------------------
 # state construction and the step
 
 
 def init_flow_state(mesh: TriMesh, config: SolveConfig,
                     volume_target: float | None = None) -> FlowState:
-    """Bind a flow state to a mesh: wetting operator, masks, preconditioner."""
-    dirichlet = config.mode == "dirichlet_cmc"
-    operator = None
-    side_sign = 1
-    gamma = math.pi / 2.0
-    kappa = 0.0
-    if not dirichlet:
+    """Bind a flow state to a mesh: the wetting operator of a free boundary,
+    the remesher's edge length and the Sobolev length."""
+    operator, gamma, kappa = None, math.pi / 2.0, 0.0
+    if config.mode != "dirichlet_cmc":
         p = config.params
-        gamma = p.gamma
-        side_sign = 1 if p.side == "interior" else -1
+        gamma, kappa = p.gamma, p.kappa
         operator = make_wetting_operator(mesh, config.substrate, side=p.side)
-        if config.mode == "prescribed_height_curvature":
-            kappa = p.kappa
-    pinned = (mesh.boundary_vertex_mask.copy()
-              if dirichlet else np.zeros(mesh.n_vertices, dtype=bool))
     state = FlowState(
         volume_target=0.0,
         gamma=gamma,
         kappa=kappa,
         operator=operator,
-        substrate=config.substrate,
-        pinned=pinned,
-        free_boundary=not dirichlet,
-        side_sign=side_sign,
         target_edge=mean_edge_length(mesh),
         sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
         step=INITIAL_STEP,
@@ -486,16 +480,18 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
     return state
 
 
-def flow_step(mesh: TriMesh, config: SolveConfig,
-              state: FlowState) -> tuple[TriMesh, dict]:
+def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     """One volume-preserving descent step; returns the new mesh and a
     JSON-ready diagnostics dict.
 
-    The dict holds ``iteration``, ``gradNorm`` and ``multiplier`` at the
-    start position and ``energy``, ``volume``, ``step``, ``displacement``
-    and ``sideViolations`` of the accepted one (``step`` 0 when the step
-    did not move).  The diagnostics file adds the spreads ``maxHdev`` and
-    ``maxAngleDev`` at the start position (see ``_write_diag``).
+    Everything the step reads is in ``state``: the boundary is pinned when
+    ``state.operator`` is None and slides on ``state.operator.sphere``
+    otherwise.  The dict holds ``iteration``, ``gradNorm`` and
+    ``multiplier`` at the start position and ``energy``, ``volume``,
+    ``step``, ``displacement`` and ``sideViolations`` of the accepted one
+    (``step`` 0 when the step did not move).  The diagnostics file adds the
+    report's spreads ``maxHdev`` and ``maxAngleDev`` at the start position
+    (see ``_write_diag``).
 
     One preconditioner solve gives the descent direction and the field
     along which every trial of the line search is restored to the volume.
@@ -590,19 +586,17 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
     state.iteration += 1
 
     violations = 0
-    if state.free_boundary:
+    if state.operator is not None:
+        sub, side_sign = state.operator.sphere, state.operator.side_sign
         interior = ~mesh.boundary_vertex_mask
         x = m.vertices
-        sd = state.substrate.signed_distance(x[interior]) * state.side_sign
-        bad = sd > 1e-7 * state.substrate.radius
+        bad = sub.signed_distance(x[interior]) * side_sign > 1e-7 * sub.radius
         violations = int(bad.sum())
         if violations:
             idx = np.where(interior)[0][bad]
-            pull = state.substrate.project(x[idx])
-            centered = pull - state.substrate.center
+            centered = sub.project(x[idx]) - sub.center
             x = x.copy()
-            x[idx] = (state.substrate.center
-                      + centered * (1.0 - state.side_sign * 1e-9))
+            x[idx] = sub.center + centered * (1.0 - side_sign * 1e-9)
             m, _ = _restore_volume(mesh.with_vertices(x), state, restore)
             e_t, v_t = _energy_volume(m, state)
         state.side_violation_streak = (state.side_violation_streak + 1
@@ -623,32 +617,25 @@ def flow_step(mesh: TriMesh, config: SolveConfig,
 # the shared engine
 
 
-def _do_remesh(mesh: TriMesh, config: SolveConfig,
-               state: FlowState) -> tuple[TriMesh, FlowState]:
-    dirichlet = not state.free_boundary
+def _do_remesh(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, FlowState]:
+    op = state.operator
     new, _ = _remesh_with_stats(
-        mesh, state.target_edge,
-        preserve_boundary_edges=dirichlet,
-        boundary_sphere=None if dirichlet else state.substrate)
+        mesh, state.target_edge, preserve_boundary_edges=op is None,
+        boundary_sphere=None if op is None else op.sphere)
     if new is mesh:
         state.needs_remesh = False
         return mesh, state
-    if state.operator is not None:
+    if op is not None:
         try:
-            state.operator = make_wetting_operator(new, config.substrate,
-                                                   side=config.params.side)
+            state.operator = make_wetting_operator(new, op.sphere, side=op.side)
         except GeometryError:
             # the new boundary loops cannot be wetted (for example their
-            # closure would self-intersect): keep the old mesh, operator,
-            # pinned mask and factor, and count the displacement afresh so
-            # the remesh is not retried every step
+            # closure would self-intersect): keep the old mesh, operator
+            # and factor, and count the displacement afresh so the remesh
+            # is not retried every step
             state.needs_remesh = False
             state.disp_since_remesh = 0.0
             return mesh, state
-    if dirichlet:
-        state.pinned = new.boundary_vertex_mask.copy()
-    else:
-        state.pinned = np.zeros(new.n_vertices, dtype=bool)
     # evaluate the restore's first position before the old factor is
     # dropped, so the new faces' gradient scatter is built while that factor
     # still holds its memory: where long-lived arrays land between
@@ -671,20 +658,18 @@ def _do_remesh(mesh: TriMesh, config: SolveConfig,
 
 
 def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
-    """One JSON line per step; a non-finite value is written as null.
+    """One JSON line per step; a non-finite or missing value is null.
 
-    The line adds to ``flow_step``'s fields the spreads at ``mesh``, the
-    step's start position, read from the gradients the step left there:
-    ``maxHdev`` of the pointwise multiplier over the interior vertices and,
-    on a free boundary, ``maxAngleDev`` of the normals' angles to the
-    substrate (NaN on a pinned one).  Nothing computes them without a sink.
+    The line adds to ``flow_step``'s fields the report's spreads at
+    ``mesh``, the step's start position, measured about the step's
+    multiplier: ``maxHdev`` (the law residual under the height law) and
+    ``maxAngleDev`` (null on a pinned boundary).  Nothing computes them
+    without a sink.
     """
     if sink is None:
         return
-    p = _at(mesh, state, c=True, g=True)
-    q, _ = _pointwise_multiplier(p.g, p.c, ~mesh.boundary_vertex_mask)
-    h_dev = float(np.abs(q - q.mean()).max()) if q.size else math.nan
-    diag = dict(diag, maxHdev=h_dev, maxAngleDev=_cheap_angle_stats(mesh, state))
+    m = _measure(mesh, state, state.multiplier)
+    diag = dict(diag, maxHdev=m["h_dev"], maxAngleDev=m["angle_dev"])
     diag = {k: (None if isinstance(v, float) and not math.isfinite(v)
                 else v) for k, v in diag.items()}
     sink.write(json.dumps(diag, sort_keys=True, allow_nan=False,
@@ -716,7 +701,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         # a rejected one), so a rejected remesh is not retried every step
         if ((cadence or state.needs_remesh)
                 and state.disp_since_remesh > 0.2 * state.target_edge):
-            mesh, state = _do_remesh(mesh, config, state)
+            mesh, state = _do_remesh(mesh, state)
             area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
@@ -725,12 +710,12 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             # passes before grinding out the last tangential modes, judging
             # the height law about the flow's own multiplier, as the report
             # of a fixed-volume solve does
-            if _measure(mesh, config, state, state.multiplier)["pass"]:
+            if _measure(mesh, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
         start = mesh
         try:
-            mesh, diag = flow_step(mesh, config, state)
+            mesh, diag = flow_step(mesh, state)
         except StepCollapseError:
             stop = "stalled"
             break
@@ -751,7 +736,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             if recent[0] - recent[-1] <= 1e-13 * (abs(recent[-1]) + 1.0):
                 stop = "stalled"
                 break
-        if state.free_boundary and state.side_violation_streak > 50:
+        if state.side_violation_streak > 50:
             raise SideViolationError(
                 "surface kept crossing the substrate sphere for more than "
                 "50 consecutive steps")
@@ -759,13 +744,12 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
 
 
 def _h_scale(state: FlowState, mesh: TriMesh) -> float:
-    if state.substrate is not None:
-        return 1.0 / state.substrate.radius
+    if state.operator is not None:
+        return 1.0 / state.operator.sphere.radius
     return 2.0 / mesh.bbox_diagonal()
 
 
-def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
-             mu_for_law: float) -> dict:
+def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     """Equilibrium measurement against which the converged flag is judged.
 
     Mean curvature comes from the variational estimator (energy gradient
@@ -773,43 +757,38 @@ def _measure(mesh: TriMesh, config: SolveConfig, state: FlowState,
     the quantity which is exactly constant at a discrete equilibrium, so
     its spread measures distance from equilibrium without the 1/h^2 noise
     a stencil-fit estimator picks up from benign discretization wiggle.
-    In the height-law mode the estimator already subtracts kappa z, so the
-    deviation is the law residual about the law constant ``mu_for_law``
-    (the other modes ignore it); h_mean still reports the achieved mean of
-    H itself.
+    Under the height law (kappa != 0) the estimator already subtracts
+    kappa z, so the deviation is the law residual about the law constant
+    ``mu_for_law`` (the other modes ignore it); h_mean still reports the
+    achieved mean of H itself.
     """
-    x = mesh.vertices
-    p = _at(mesh, state, c=True, g=True)
-    g, c = p.g, p.c
     interior = ~mesh.boundary_vertex_mask
-    q, ok = _pointwise_multiplier(g, c, interior)
+    p = _at(mesh, state, c=True, g=True)
+    q, ok = _pointwise_multiplier(p.g, p.c, interior)
     if q.size == 0:
-        q_mean, h_dev, h_mean = math.nan, math.nan, math.nan
+        h_dev = h_mean = math.nan
+    elif state.kappa != 0.0:
+        h_dev = float(np.abs(q - mu_for_law).max())
+        h_mean = float((q + state.kappa * mesh.vertices[interior, 2][ok]).mean())
     else:
-        q_mean = float(q.mean())
-        if config.mode == "prescribed_height_curvature":
-            h_dev = float(np.abs(q - mu_for_law).max())
-            h_mean = float((q + state.kappa
-                            * x[interior, 2][ok]).mean())
-        else:
-            h_dev = float(np.abs(q - q_mean).max())
-            h_mean = q_mean
+        h_mean = float(q.mean())
+        h_dev = float(np.abs(q - h_mean).max())
     h_tol = H_DEV_FACTOR * (abs(h_mean) + _h_scale(state, mesh))
     passed = h_dev <= h_tol
     angle_mean = angle_dev = None
-    if state.free_boundary:
-        rep = contact_angle(mesh, state.substrate, side=config.params.side)
-        angle_mean = rep.mean
-        angle_dev = rep.max_deviation
+    op = state.operator
+    if op is not None:
+        rep = contact_angle(mesh, op.sphere, side=op.side)
+        angle_mean, angle_dev = rep.mean, rep.max_deviation
         passed = passed and angle_dev <= ANGLE_TOL
     return {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
             "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
 
 
-def _final_report(mesh: TriMesh, config: SolveConfig, state: FlowState,
-                  info: dict, mu_for_law: float) -> SolveReport:
+def _final_report(mesh: TriMesh, state: FlowState, info: dict,
+                  mu_for_law: float) -> SolveReport:
     e, vol = _energy_volume(mesh, state)
-    m = _measure(mesh, config, state, mu_for_law)
+    m = _measure(mesh, state, mu_for_law)
     converged = info["stop"] in ("gradient", "stalled", "measured") and m["pass"]
     return SolveReport(
         converged=converged,
@@ -874,8 +853,8 @@ def _config_for(mode: str, config: SolveConfig | None,
     """The config a solve in ``mode`` runs with: the caller's, checked
     against the mode and the solver's arguments, or the default one.
 
-    The flow reads the substrate and parameters from the config, so a config
-    that disagrees with the arguments would solve another problem than the
+    The flow state is built from the config's substrate and parameters, so
+    a config that disagrees with the arguments would solve another problem than the
     one whose init was built and whose substrate was checked.
     """
     if config is None:
@@ -910,7 +889,7 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
     # is set, else the multiplier the flow ended on
     mu_for_law = (state.multiplier if target_curvature is None
                   else target_curvature)
-    return mesh, _final_report(mesh, config, state, info, mu_for_law)
+    return mesh, _final_report(mesh, state, info, mu_for_law)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,9 @@ __all__ = ["winding_numbers", "MeshDistanceQuery"]
 # closed ~4k-vertex drops of the benchmark
 WINDING_BLOCK_PAIRS = 1 << 15
 
+# faces whose exact distances seed the search radius of a distance query
+SEED_FACES = 8
+
 
 def winding_numbers(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     """Generalized winding number of each point w.r.t. the oriented surface.
@@ -115,7 +118,8 @@ def _point_triangle_distance_sq(p: np.ndarray, a, b, c) -> np.ndarray:
 class MeshDistanceQuery:
     """Reusable point-to-mesh distance structure (KD-tree culled, exact result).
 
-    Candidate faces are found through a KD-tree over face centroids; the exact
+    Candidate faces are found through a KD-tree over face centroids: the
+    nearest ``SEED_FACES`` faces bound the distance, and the exact
     point-triangle distance is then evaluated for every face whose centroid
     lies within the proven search radius, so results are exact, not nearest-
     centroid approximations.
@@ -132,9 +136,9 @@ class MeshDistanceQuery:
         self._face_radius = float(r.max()) if len(r) else 0.0
         self._tree = cKDTree(self._centroids)
 
-    def distance(self, points: np.ndarray, k_seed: int = 8) -> np.ndarray:
+    def distance(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        d_seed, idx_seed = self._tree.query(points, k=min(k_seed, len(self._centroids)))
+        d_seed, idx_seed = self._tree.query(points, k=min(SEED_FACES, len(self._centroids)))
         if d_seed.ndim == 1:
             d_seed = d_seed[:, None]
             idx_seed = idx_seed[:, None]

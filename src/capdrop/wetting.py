@@ -150,17 +150,17 @@ def _require_origin_centered(sphere: Sphere) -> None:
 class WettingOperator:
     """Patch functionals of one wetted region, bound to fixed boundary loops.
 
-    ``loops`` index into the owning mesh's vertex array; ``sign`` is the
-    circulation orientation fixed at calibration time; ``side_sign`` is +1
-    when the drop is inside the substrate ball (patch normal out of W points
-    out of the ball) and -1 outside.  ``rot`` takes ``pole`` to +z (None if
-    it already is); it is computed once, on construction.  Valid until the
-    mesh connectivity changes; rebuild after remeshing.
+    ``sphere`` is the substrate.  ``loops`` index into the owning mesh's
+    vertex array.  ``side_sign`` is +1 when the drop is inside the substrate
+    ball (patch normal out of W points out of the ball) and -1 outside; the
+    patch boundary runs against the mesh loops, so every circulation is
+    taken with the orientation ``-side_sign``.  ``rot`` takes ``pole`` to +z
+    (None if it already is); it is computed once, on construction.  Valid
+    until the mesh connectivity changes; rebuild after remeshing.
     """
 
     sphere: Sphere
     loops: tuple
-    sign: float
     side_sign: float
     pole: np.ndarray
     rot: np.ndarray | None = dataclass_field(init=False, repr=False,
@@ -170,10 +170,15 @@ class WettingOperator:
         _require_origin_centered(self.sphere)
         object.__setattr__(self, "rot", _pole_rotation(self.pole))
 
+    @property
+    def side(self) -> str:
+        """"interior" or "exterior": the drop's side of the substrate."""
+        return "interior" if self.side_sign > 0 else "exterior"
+
     def area(self, vertices: np.ndarray) -> float:
         rho = self.sphere.radius
         rot = self.rot
-        return self.sign * sum(
+        return -self.side_sign * sum(
             _circulation(vertices[l], rho, _area_field, rot) for l in self.loops)
 
     def area_gradient(self, vertices: np.ndarray) -> np.ndarray:
@@ -181,21 +186,21 @@ class WettingOperator:
         rot = self.rot
         grad = np.zeros_like(vertices)
         for l in self.loops:
-            grad[l] += self.sign * _circulation_gradient(
+            grad[l] -= self.side_sign * _circulation_gradient(
                 vertices[l], rho, _area_field, _area_field_jac, rot)
         return grad
 
     def z_cubed_flux(self, vertices: np.ndarray) -> float:
         """Integral of z^3 over the patch (orientation-corrected)."""
         rho = self.sphere.radius
-        return self.sign * sum(
+        return -self.side_sign * sum(
             _circulation(vertices[l], rho, _z3_field, None) for l in self.loops)
 
     def z_cubed_flux_gradient(self, vertices: np.ndarray) -> np.ndarray:
         rho = self.sphere.radius
         grad = np.zeros_like(vertices)
         for l in self.loops:
-            grad[l] += self.sign * _circulation_gradient(
+            grad[l] -= self.side_sign * _circulation_gradient(
                 vertices[l], rho, _z3_field, _z3_field_jac, None)
         return grad
 
@@ -229,8 +234,8 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
     The circulation orientation is forced by the winding convention: with
     the free surface wound out of the drop, the patch boundary (induced by
     the patch's own out-of-drop winding) runs opposite to the mesh loops,
-    so the orientation sign is -1 for interior drops and +1 for exterior
-    ones.  Only the area-field pole needs calibrating: of the loops'
+    so the orientation is -side_sign: -1 for interior drops and +1 for
+    exterior ones.  Only the area-field pole needs calibrating: of the loops'
     max-margin pole (:func:`open_hemisphere_pole`) and its antipode, the
     valid one yields a positive patch area not exceeding the sphere area.
     When a meshed closure exists it cross-checks the result: the closure of
@@ -244,7 +249,6 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
 
     side = _drop_side(mesh, sphere, side)
     side_sign = 1.0 if side == "interior" else -1.0
-    sign = -side_sign
 
     pts = np.concatenate([mesh.vertices[l] for l in loops])
     found = open_hemisphere_pole(pts / np.linalg.norm(pts, axis=1, keepdims=True))
@@ -257,7 +261,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
         rot = _pole_rotation(pole)
         circ = sum(_circulation(mesh.vertices[l], rho, _area_field, rot)
                    for l in loops)
-        a_est = sign * circ
+        a_est = -side_sign * circ
         if a_est <= 1e-12 * rho * rho or a_est > sphere_area * (1.0 + 1e-3):
             continue
         if best is None or a_est < best[0]:
@@ -284,8 +288,8 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
                 f"{a_est:.6g} against meshed patch area {area_true:.6g}")
     except LoopsNotInHemisphereError:
         pass  # near-hemisphere patch: the closure cannot mesh it, skip the check
-    return WettingOperator(sphere=sphere, loops=loops, sign=sign,
-                           side_sign=side_sign, pole=pole)
+    return WettingOperator(sphere=sphere, loops=loops, side_sign=side_sign,
+                           pole=pole)
 
 
 # -- surface-side contributions (over the free-surface mesh itself) -----------

@@ -75,3 +75,24 @@ def test_every_exported_name_resolves():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names {missing}"
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an option that does
+    # nothing, or a value kept in a second home; a name that starts with
+    # "_" marks one a callback's signature forces on it
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
+                       for p in params if p not in read and not p.startswith("_")]
+    assert unread == []

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -109,7 +110,7 @@ def test_solve_height_curvature_rejects_off_centre_substrate(monkeypatch):
 def test_rising_energy_raises_solver_error(monkeypatch):
     energies = iter(range(10))
 
-    def rising_step(mesh, config, state):
+    def rising_step(mesh, state):
         return mesh, {"step": 1.0, "energy": float(next(energies)),
                       "gradNorm": math.inf}
 
@@ -126,7 +127,7 @@ def test_crossing_the_substrate_raises_side_violation(monkeypatch,
                                                      unit_sphere):
     energies = iter(range(0, -100, -1))
 
-    def crossing_step(mesh, config, state):
+    def crossing_step(mesh, state):
         state.side_violation_streak += 1
         return mesh, {"step": 1.0, "energy": float(next(energies)),
                       "gradNorm": math.inf}
@@ -157,7 +158,7 @@ def test_line_search_without_a_restored_trial_collapses(monkeypatch, rng):
     state = solver.init_flow_state(disk, cfg)
     monkeypatch.setattr(solver, "_restore_volume", _volume_never_met)
     with pytest.raises(StepCollapseError, match="line search failed"):
-        solver.flow_step(disk, cfg, state)
+        solver.flow_step(disk, state)
 
 
 def test_unreachable_entry_volume_is_a_degenerate_mesh(monkeypatch):
@@ -247,9 +248,11 @@ def test_config_must_agree_with_arguments(monkeypatch, unit_sphere, mode,
         raise _InitBuilt
 
     monkeypatch.setattr(solver, "_default_capillary_init", init_built)
-    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+    # the capillary mode takes no height law
+    kappa = 0.5 if mode == "prescribed_height_curvature" else 0.0
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=kappa,
                              target_volume=0.3)
-    other = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+    other = CapillaryParams(gamma=math.radians(70.0), kappa=kappa,
                             target_volume=0.4)
 
     def config(p, s):
@@ -371,7 +374,7 @@ def test_init_mesh_values_are_not_shared_between_solves(unit_sphere):
 
     def step(mesh, gamma_deg):
         _, cfg = config(gamma_deg)
-        return solver.flow_step(mesh, cfg, solver.init_flow_state(mesh, cfg))
+        return solver.flow_step(mesh, solver.init_flow_state(mesh, cfg))
 
     def solve(mesh, gamma_deg):
         params, cfg = config(gamma_deg)
@@ -429,9 +432,9 @@ def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
     cfg = solver.SolveConfig(mode="capillary", params=params,
                              substrate=unit_sphere)
     state = solver.init_flow_state(init, cfg)
-    mesh, _ = solver.flow_step(init, cfg, state)
-    kept = (state.operator, state.pinned, state._precond)
-    assert kept[2] is not None
+    mesh, _ = solver.flow_step(init, state)
+    kept = (state.operator, state._precond)
+    assert kept[1] is not None
 
     rebuilds = []
 
@@ -443,11 +446,11 @@ def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
     # a cycle at half the edge length is sure to edit the mesh
     state.target_edge *= 0.5
     state.needs_remesh = True
-    out, state = solver._do_remesh(mesh, cfg, state)
+    out, state = solver._do_remesh(mesh, state)
     assert len(rebuilds) == 1
     assert out is mesh
     assert all(now is then for now, then in
-               zip((state.operator, state.pinned, state._precond), kept))
+               zip((state.operator, state._precond), kept))
     assert not state.needs_remesh and state.disp_since_remesh == 0.0
 
 
@@ -484,8 +487,82 @@ def test_flow_step_makes_one_solve(monkeypatch, rng, unit_sphere, case):
         cfg = solver.SolveConfig(mode="capillary", params=params,
                                  substrate=unit_sphere)
     state = solver.init_flow_state(mesh, cfg)
-    out, diag = solver.flow_step(mesh, cfg, state)
+    out, diag = solver.flow_step(mesh, state)
     assert diag["step"] > 0.0
     assert solves == [(mesh.n_vertices, 6)]
     assert solver._at(out, state, volume=True).volume == pytest.approx(
         state.volume_target, rel=1e-12)
+
+
+def test_on_target_restore_makes_no_solve_and_no_factorization(monkeypatch,
+                                                                rng):
+    # the mesh sits on its own volume, so the restore has nothing to move;
+    # deriving its direction first once cost a face pass, a factorization
+    # and a solve on every tuner round and flow entry
+    factors, solves = [], []
+    factor = solver.splu
+
+    def counting_splu(*a, **k):
+        factors.append(1)
+        return _CountingLU(factor(*a, **k), solves)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    mesh = perturb_normal(flat_disk(1.0, n_angular=16, n_rings=4), 0.05, rng)
+    state = solver.init_flow_state(mesh, solver.SolveConfig(mode="dirichlet_cmc"))
+    out, ok = solver._restore_volume(mesh, state)
+    assert ok and out is mesh
+    assert factors == [] and solves == []
+    assert mesh._cache["flow"].c is None
+
+
+def test_solve_capillary_rejects_a_height_law(monkeypatch, unit_sphere):
+    # a nonzero kappa was once dropped and a constant-H drop reported
+    def no_init(*args, **kwargs):
+        raise AssertionError("a mesh was built before the kappa check")
+
+    monkeypatch.setattr(solver, "_default_capillary_init", no_init)
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                             target_volume=0.3)
+    with pytest.raises(ValueError, match="capillary mode needs kappa = 0"):
+        solver.solve_capillary(unit_sphere, params)
+    with pytest.raises(ValueError, match="capillary mode needs kappa = 0"):
+        solver.SolveConfig(mode="capillary", params=params,
+                           substrate=unit_sphere)
+
+
+def test_diagnostics_carry_the_reports_spreads(tmp_path, unit_sphere):
+    # the line of step k + 1 is measured at the mesh a k-step solve reports
+    # on; its spreads once came from vertex normals, not from contact_angle
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(60.0),
+                             target_volume=drop.volume)
+
+    def solve(steps, path=None):
+        cfg = solver.SolveConfig(mode="capillary", params=params,
+                                 substrate=unit_sphere, max_iterations=steps,
+                                 remesh_every=0, diagnostics_path=path)
+        return solver.solve_capillary(unit_sphere, params, init.copy(), cfg)
+
+    _, report = solve(3)
+    path = tmp_path / "capillary.jsonl"
+    solve(4, str(path))
+    line = _diagnostics(path, True)[3]
+    assert line["maxHdev"] == report.h_max_deviation
+    assert line["maxAngleDev"] == report.contact_angle_max_deviation
+
+
+def test_height_law_diagnostics_give_the_law_residual(unit_sphere):
+    drop, mesh = _small_drop()
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                             target_volume=drop.volume)
+    state = solver.init_flow_state(mesh, solver.SolveConfig(
+        mode="prescribed_height_curvature", params=params,
+        substrate=unit_sphere))
+    _, diag = solver.flow_step(mesh, state)
+    sink = io.StringIO()
+    solver._write_diag(sink, diag, mesh, state)
+    line = json.loads(sink.getvalue())
+    p = solver._at(mesh, state, c=True, g=True)
+    q, _ = solver._pointwise_multiplier(p.g, p.c, ~mesh.boundary_vertex_mask)
+    assert line["maxHdev"] == float(np.abs(q - state.multiplier).max())
+    assert line["maxHdev"] != float(np.abs(q - q.mean()).max())

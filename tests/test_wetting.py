@@ -58,7 +58,7 @@ def bulge():
 def test_interior_orientation_and_area(bulge):
     drop, mesh, op = bulge
     assert op.side_sign == 1.0
-    assert op.sign == -1.0
+    assert op.side == "interior"
     assert op.area(mesh.vertices) == pytest.approx(drop.wetted_area, rel=2e-3)
 
 
@@ -81,7 +81,7 @@ def test_exterior_orientation_and_volume():
     mesh = drop.free_surface_mesh(n_angular=96, n_rings=48)
     op = make_wetting_operator(mesh, drop.substrate)
     assert op.side_sign == -1.0
-    assert op.sign == 1.0
+    assert op.side == "exterior"
     assert op.area(mesh.vertices) == pytest.approx(drop.wetted_area, rel=2e-3)
     vol = mesh.divergence_volume() + op.volume_term(mesh.vertices)
     assert vol == pytest.approx(drop.volume, rel=3e-3)
