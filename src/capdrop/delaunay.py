@@ -10,6 +10,10 @@ first integral; its constant c, together with H, indexes the classical
 family: sphere (c = 0), cylinder (4Hc = 1), unduloid (0 < 4Hc < 1), nodoid
 (Hc < 0), catenoid (H = 0, c != 0) and plane (H = c = 0).  Conservation of
 F along generated profiles is the fidelity metric for the integrator.
+
+scipy's integrator and root finder are imported by the calls that use them
+(``delaunay_profile`` and ``clip_profile_to_sphere``), so importing the
+package does not load them.
 """
 from __future__ import annotations
 
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import AxisSingularityError, DegenerateConfigurationError
 from .geometry import Sphere
@@ -171,6 +173,8 @@ def delaunay_profile(
     an axis touch (x -> 0), which is regular only for the sphere family; a
     non-tangential axis approach raises AxisSingularityError.
     """
+    from scipy.integrate import solve_ivp
+
     if step <= 0.0:
         raise ValueError("step must be positive")
     s_lo, s_hi = float(s_span[0]), float(s_span[1])
@@ -262,6 +266,8 @@ def clip_profile_to_sphere(profile: DelaunayProfile, sphere: Sphere,
     piece endpoints lie on the sphere to integrator accuracy.  Returns the
     pieces in increasing arclength order.
     """
+    from scipy.optimize import brentq
+
     if keep not in ("inside", "outside"):
         raise ValueError("keep must be 'inside' or 'outside'")
     cx, cy, cz = sphere.center

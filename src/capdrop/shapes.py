@@ -150,7 +150,9 @@ def _graded_disk_topology(ring_r: np.ndarray, ring_z: np.ndarray, apex_z: float,
 
     Rings run from innermost to the boundary; the boundary ring always gets
     exactly ``n_angular`` vertices.  Winding is counterclockwise seen from
-    +z.  Rings of unequal counts are joined by an angular two-pointer sweep.
+    +z.  Rings of unequal counts are joined by an angular two-pointer sweep,
+    built in one array pass per ring pair: the sweep is a stable merge of
+    the two rings' angular keys.
     """
     r_bnd = float(ring_r[-1])
     counts = [max(6, int(round(n_angular * r / r_bnd))) for r in ring_r]
@@ -168,31 +170,24 @@ def _graded_disk_topology(ring_r: np.ndarray, ring_z: np.ndarray, apex_z: float,
                                       np.full(n, float(z))]))
         offsets.append(total)
         total += n
-    faces = []
     n0, o0 = counts[0], offsets[0]
-    for j in range(n0):
-        faces.append([0, o0 + j, o0 + (j + 1) % n0])
+    j = np.arange(n0)
+    faces = [np.column_stack([np.zeros_like(j), o0 + j, o0 + (j + 1) % n0])]
     for k in range(len(counts) - 1):
         oa, na = offsets[k], counts[k]
         ob, nb = offsets[k + 1], counts[k + 1]
-        ia = ib = 0
-        while ia < na or ib < nb:
-            a_cur = oa + (ia % na)
-            b_cur = ob + (ib % nb)
-            if ib == nb:
-                adv_a = True
-            elif ia == na:
-                adv_a = False
-            else:
-                adv_a = (ia + 1) * nb <= (ib + 1) * na
-            if adv_a:
-                faces.append([a_cur, b_cur, oa + ((ia + 1) % na)])
-                ia += 1
-            else:
-                faces.append([a_cur, b_cur, ob + ((ib + 1) % nb)])
-                ib += 1
-    return TriMesh(np.concatenate(verts, axis=0),
-                   np.asarray(faces, dtype=np.int64), validate=False)
+        # the sweep advances ring a at key (ia+1)*nb and ring b at key
+        # (ib+1)*na, a first on a tie: a stable merge of the two key runs
+        keys = np.concatenate([np.arange(1, na + 1) * nb,
+                               np.arange(1, nb + 1) * na])
+        adv_a = np.argsort(keys, kind="stable") < na
+        ia = np.cumsum(adv_a) - adv_a  # a-steps taken before this one
+        ib = np.cumsum(~adv_a) - ~adv_a
+        faces.append(np.column_stack([
+            oa + ia % na, ob + ib % nb,
+            np.where(adv_a, oa + (ia + 1) % na, ob + (ib + 1) % nb)]))
+    return TriMesh(np.concatenate(verts, axis=0), np.concatenate(faces),
+                   validate=False)
 
 
 def flat_disk(radius: float = 1.0, n_angular: int = 64, n_rings: int = 8,

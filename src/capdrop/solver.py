@@ -38,7 +38,7 @@ it.  Past ``init_flow_state`` the flow reads the problem from its state
 alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
-``substrate`` (both required outside ``dirichlet_cmc``, which ignores
+``substrate`` (both required outside ``dirichlet_cmc``, which rejects
 them), ``max_iterations``, ``remesh_every`` (0 turns off the periodic
 remesh and the early measured stop; a remesh still runs when quality
 demands it) and ``diagnostics_path`` (one JSON line per flow step).  Step
@@ -123,15 +123,18 @@ class SolveConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.remesh_every < 0:
             raise ValueError("remesh_every must be at least 0")
-        if self.mode != "dirichlet_cmc":
-            if self.substrate is None:
-                raise ValueError(f"{self.mode} mode needs a substrate sphere")
-            if self.params is None:
-                raise ValueError(f"{self.mode} mode needs CapillaryParams")
-            if self.mode == "capillary" and self.params.kappa != 0.0:
-                raise ValueError(
-                    "capillary mode needs kappa = 0; the height law H = "
-                    "kappa z + mu is prescribed_height_curvature mode")
+        if self.mode == "dirichlet_cmc":
+            if self.params is not None or self.substrate is not None:
+                raise ValueError("dirichlet_cmc mode takes no params or "
+                                 "substrate: the boundary is pinned")
+        elif self.substrate is None:
+            raise ValueError(f"{self.mode} mode needs a substrate sphere")
+        elif self.params is None:
+            raise ValueError(f"{self.mode} mode needs CapillaryParams")
+        elif self.mode == "capillary" and self.params.kappa != 0.0:
+            raise ValueError(
+                "capillary mode needs kappa = 0; the height law H = "
+                "kappa z + mu is prescribed_height_curvature mode")
 
 
 @dataclass

@@ -3,13 +3,13 @@
 These kernels serve the containment tests.  The winding number takes the
 points in blocks of at most ``WINDING_BLOCK_PAIRS`` point-face pairs (one
 point per block when the mesh has more faces), so its memory does not grow
-with the number of points.
+with the number of points.  scipy's k-d tree is imported when a
+``MeshDistanceQuery`` is built, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import TriMesh
 
@@ -126,6 +126,8 @@ class MeshDistanceQuery:
     """
 
     def __init__(self, mesh: TriMesh):
+        from scipy.spatial import cKDTree
+
         self.mesh = mesh
         v = mesh.vertices
         f = mesh.faces

@@ -143,6 +143,31 @@ def test_clip_inside_outside_complementary():
     assert total == pytest.approx(prof.s[-1] - prof.s[0], abs=1e-8)
 
 
+def test_profile_and_clip_reach_scipy_at_call_time(monkeypatch):
+    # the integrator and the root finder are imported by the calls that use
+    # them, not by the module, so a patched scipy attribute is what they run
+    import scipy.integrate
+    import scipy.optimize
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                        counted("solve_ivp", scipy.integrate.solve_ivp))
+    monkeypatch.setattr(scipy.optimize, "brentq",
+                        counted("brentq", scipy.optimize.brentq))
+    prof = delaunay_profile(0.5, 0.3, s_span=(-3.0, 3.0), step=0.02)
+    assert calls.count("solve_ivp") == 2  # one per leg
+    calls.clear()
+    z_neck = prof.z[int(np.argmin(prof.x))]
+    assert clip_profile_to_sphere(prof, Sphere((0.0, 0.0, z_neck), 1.0))
+    assert calls and set(calls) == {"brentq"}
+
+
 def test_surface_of_revolution_valid_mesh():
     prof = delaunay_profile(0.5, 0.3, s_span=(-3.0, 3.0), step=0.02)
     m = surface_of_revolution(prof, n_angular=48)

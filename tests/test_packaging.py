@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -96,3 +99,28 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
                        for p in params if p not in read and not p.startswith("_")]
     assert unread == []
+
+
+# scipy parts that no solve uses: ODE integration and root finding serve
+# only delaunay's profiles, the k-d tree only distance queries
+DEFERRED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+
+
+def _loaded_after(statement):
+    """The DEFERRED_SCIPY modules and ``scipy.sparse.linalg`` that a fresh
+    interpreter has loaded after running ``statement``."""
+    probe = (f"import sys\n{statement}\n"
+             f"print(sorted(m for m in {DEFERRED_SCIPY + ('scipy.sparse.linalg',)!r}"
+             " if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_only_what_a_solve_uses():
+    # set-up pays for the integrator, the root finder and the k-d tree only
+    # in the calls that use them; the solver's sparse LU stays at import so
+    # the first solve does not pay for it
+    assert _loaded_after("import capdrop") == []
+    assert _loaded_after("import capdrop.solver") == ["scipy.sparse.linalg"]

@@ -67,3 +67,54 @@ def test_spherical_cap_mesh_rejects_full_sphere():
     s = Sphere((0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         spherical_cap_mesh(s, np.array([0.0, 0.0, 1.0]), math.pi)
+
+
+def _graded_disk_faces_reference(ring_r, n_angular):
+    """``_graded_disk_topology``'s faces as a two-pointer sweep between
+    rings, one face per step."""
+    counts = [max(6, int(round(n_angular * r / ring_r[-1]))) for r in ring_r]
+    counts[-1] = n_angular
+    if len(counts) >= 2:
+        counts[-2] = n_angular
+    offsets = list(np.cumsum([1] + counts[:-1]))
+    faces = [[0, offsets[0] + j, offsets[0] + (j + 1) % counts[0]]
+             for j in range(counts[0])]
+    for k in range(len(counts) - 1):
+        oa, na = offsets[k], counts[k]
+        ob, nb = offsets[k + 1], counts[k + 1]
+        ia = ib = 0
+        while ia < na or ib < nb:
+            a_cur = oa + (ia % na)
+            b_cur = ob + (ib % nb)
+            if ib == nb:
+                adv_a = True
+            elif ia == na:
+                adv_a = False
+            else:
+                adv_a = (ia + 1) * nb <= (ib + 1) * na
+            if adv_a:
+                faces.append([a_cur, b_cur, oa + ((ia + 1) % na)])
+                ia += 1
+            else:
+                faces.append([a_cur, b_cur, ob + ((ib + 1) % nb)])
+                ib += 1
+    return np.asarray(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_angular", [6, 7, 8, 13, 32, 97])
+def test_graded_disk_faces_match_the_sweep(n_angular):
+    # rings of 6-8 vertices and odd counts; with 70 rings the inner rings
+    # sit on the 6-vertex floor, and past pi/2 the middle rings of a cap
+    # hold more vertices than its boundary
+    s = Sphere((0.0, 0.0, 0.0), 1.0)
+    for n_rings in (1, 2, 3, 5, 18, 70):
+        disk = flat_disk(1.0, n_angular, n_rings)
+        ref = _graded_disk_faces_reference(np.arange(1, n_rings + 1) / n_rings,
+                                           n_angular)
+        assert disk.faces.dtype == ref.dtype
+        assert np.array_equal(disk.faces, ref)
+        for polar in (0.05, 0.9, 2.0, 3.0):
+            cap = spherical_cap_mesh(s, (0.0, 0.0, 1.0), polar, n_angular, n_rings)
+            theta = polar * np.arange(1, n_rings + 1) / n_rings
+            assert np.array_equal(
+                cap.faces, _graded_disk_faces_reference(np.sin(theta), n_angular))

@@ -230,6 +230,17 @@ def test_solve_config_rejects_bad_counts():
     assert solver.SolveConfig(mode="dirichlet_cmc", remesh_every=0).remesh_every == 0
 
 
+def test_solve_config_rejects_free_boundary_fields_when_pinned():
+    # a pinned solve reads neither field, so setting one is an error, not a
+    # value silently dropped
+    sub = Sphere(np.zeros(3), 5.0)
+    params = CapillaryParams(gamma=1.0, kappa=3.0, target_volume=1.0)
+    for kwargs in ({"substrate": sub}, {"params": params},
+                   {"substrate": sub, "params": params}):
+        with pytest.raises(ValueError, match="takes no params or substrate"):
+            solver.SolveConfig(mode="dirichlet_cmc", **kwargs)
+
+
 class _InitBuilt(Exception):
     pass
 
