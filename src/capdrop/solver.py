@@ -39,10 +39,11 @@ alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
 ``substrate`` (both required outside ``dirichlet_cmc``, which rejects
-them), ``max_iterations``, ``remesh_every`` (0 turns off the periodic
-remesh and the early measured stop; a remesh still runs when quality
-demands it) and ``diagnostics_path`` (one JSON line per flow step).  Step
-sizes, tolerances (the volume restore's ``RESTORE_REL_TOL`` and
+them), ``max_iterations``, ``remesh_every`` (the cadence on which every
+solve tries the early measured stop and a free boundary remeshes; a pinned
+one remeshes only when quality demands it, and 0 leaves only that remesh)
+and ``diagnostics_path`` (one JSON line per flow step).  Step sizes,
+tolerances (the volume restore's ``RESTORE_REL_TOL`` and
 ``RESTORE_MAX_ITER`` among them) and the quality floor are the module
 constants below; the remesher's target edge length and the Sobolev length
 (a quarter of the bounding-box diagonal, fixed for the solve) come from the
@@ -696,26 +697,31 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     steps = 0
     prev_e = None
     recent: list = []
-    while steps < budget:
+    pinned = state.operator is None
+    while True:
         cadence = (config.remesh_every > 0 and steps > 0
                    and steps % config.remesh_every == 0)
-        # a remesh, asked for by the cadence or by a poor face, waits until
-        # the mesh has moved a fifth of an edge since the last one (or since
-        # a rejected one), so a rejected remesh is not retried every step
-        if ((cadence or state.needs_remesh)
+        # a free contact line drifts at fixed connectivity, so a free solve
+        # also remeshes on the cadence (on a pinned one that only raised the
+        # pointwise H error).  A remesh waits until the mesh has moved a fifth
+        # of an edge since the last (or a rejected) one, so a rejected remesh
+        # is not retried every step; at the budget's end no remesh runs
+        if (steps < budget and (state.needs_remesh or (cadence and not pinned))
                 and state.disp_since_remesh > 0.2 * state.target_edge):
             mesh, state = _do_remesh(mesh, state)
             area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
-        elif cadence and steps >= 2 * config.remesh_every:
-            # the mesh has settled; see if the measured physics already
-            # passes before grinding out the last tangential modes, judging
-            # the height law about the flow's own multiplier, as the report
-            # of a fixed-volume solve does
+        elif cadence and (pinned or steps >= 2 * config.remesh_every):
+            # see if the measured physics already passes before grinding out
+            # the last tangential modes (a free solve first lets one cadence
+            # remesh settle), judging the height law about the flow's own
+            # multiplier, as the report of a fixed-volume solve does
             if _measure(mesh, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
+        if steps >= budget:
+            break
         start = mesh
         try:
             mesh, diag = flow_step(mesh, state)

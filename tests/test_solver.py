@@ -7,12 +7,13 @@ import pytest
 
 from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
-                              interior_drop_cap)
+                              interior_drop_cap, spherical_caps_for_circle)
 from capdrop.curvature import jet_mean_curvature
 from capdrop.errors import (MeshDegeneracyError, SelfIntersectingPatchError,
                             SideViolationError, SolverError,
                             StepCollapseError)
 from capdrop.geometry import Sphere
+from capdrop.remesh import mean_edge_length
 from capdrop.shapes import flat_disk, perturb_normal
 from capdrop.wetting import make_wetting_operator
 
@@ -310,10 +311,93 @@ def test_dirichlet_entry_point(tmp_path):
     mesh, report = solver.solve_dirichlet_cmc(boundary, disk, cfg,
                                               target_volume=0.3)
     assert mesh.divergence_volume() == pytest.approx(0.3, rel=1e-10)
-    # the pinned loop comes back bit for bit, whatever the remesh did inside
+    # the pinned loop comes back bit for bit
     out = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.array_equal(np.unique(out, axis=0), np.unique(boundary, axis=0))
     assert len(_diagnostics(path, False)) == report.iterations > 0
+
+
+def _remesh_calls(monkeypatch) -> list:
+    """A list that grows by one on every remesh a solve runs."""
+    calls = []
+    remesh = solver._remesh_with_stats
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return remesh(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_remesh_with_stats", counted)
+    return calls
+
+
+def _squashed_disk(factor):
+    """The 24 x 4 flat disk with its interior squeezed along x by
+    ``factor``, and its pinned unit circle."""
+    disk = flat_disk(1.0, n_angular=24, n_rings=4)
+    v = disk.vertices.copy()
+    v[~disk.boundary_vertex_mask, 0] *= factor
+    return disk.with_vertices(v), disk.vertices[disk.boundary_vertex_mask]
+
+
+def test_a_budget_that_ends_on_a_cadence_step_tries_the_stop():
+    # this solve first passes the measured check at step 200; a budget of
+    # 200 once ended before that step's check, on "budget" and unconverged
+    init, boundary = _squashed_disk(0.05)
+    (short, r_short), (long, r_long) = (
+        solver.solve_dirichlet_cmc(
+            boundary, init,
+            solver.SolveConfig(mode="dirichlet_cmc", max_iterations=budget),
+            target_volume=0.5)
+        for budget in (200, 2000))
+    assert r_short.message == r_long.message == "measured"
+    assert r_short.converged and r_short.iterations == r_long.iterations == 200
+    assert np.array_equal(short.vertices, long.vertices)
+
+
+def test_quality_trigger_remeshes_a_pinned_solve(monkeypatch):
+    # the squeezed faces start at quality 0.024, below QUALITY_FLOOR; a
+    # pinned solve has no cadence remesh, so only the trigger can remesh it
+    calls = _remesh_calls(monkeypatch)
+    init, boundary = _squashed_disk(0.02)
+    mesh, report = solver.solve_dirichlet_cmc(boundary, init,
+                                              target_volume=0.5)
+    assert len(calls) >= 1
+    assert report.converged
+    assert mesh.divergence_volume() == pytest.approx(0.5, rel=1e-10)
+    out = mesh.vertices[mesh.boundary_vertex_mask]
+    assert np.array_equal(np.unique(out, axis=0), np.unique(boundary, axis=0))
+
+
+def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
+                                                    unit_sphere):
+    # the 1071-vertex disk to the H = 2/3 cap: a cadence remesh at step 25
+    # once held its stop back to step 50 and ended at jet h_p90 0.055
+    calls = _remesh_calls(monkeypatch)
+    flat = flat_disk(1.0, n_angular=112, n_rings=18)
+    init = perturb_normal(flat, 0.05 * mean_edge_length(flat), rng,
+                          keep_boundary=True)
+    cap, _ = spherical_caps_for_circle(1.0, 2.0 / 3.0)
+    mesh, report = solver.solve_dirichlet_cmc(
+        flat.vertices[flat.boundary_vertex_mask], init,
+        target_volume=cap.dome_volume)
+    assert calls == []
+    assert (report.message, report.iterations) == ("measured", 25)
+    assert report.converged
+    # meshes are wound out of the drop
+    h = -jet_mean_curvature(mesh)[~mesh.boundary_vertex_mask]
+    assert np.quantile(np.abs(h - cap.mean_curvature), 0.9) <= 0.02
+
+    # a free contact line keeps the cadence: without it this solve does
+    # not remesh at all
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    for every in (10, 0):
+        calls.clear()
+        cfg = solver.SolveConfig(mode="capillary", params=params,
+                                 substrate=unit_sphere, max_iterations=40,
+                                 remesh_every=every)
+        solver.solve_capillary(unit_sphere, params, init, cfg)
+        assert bool(calls) == (every > 0)
 
 
 @pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
