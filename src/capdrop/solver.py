@@ -39,10 +39,11 @@ alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
 ``substrate`` (both required outside ``dirichlet_cmc``, which rejects
-them), ``max_iterations``, ``remesh_every`` (the cadence on which every
-solve tries the early measured stop and a free boundary remeshes; a pinned
-one remeshes only when quality demands it, and 0 leaves only that remesh)
-and ``diagnostics_path`` (one JSON line per flow step).  Step sizes,
+them), ``max_iterations``, ``remesh_every`` (the cadence on which a free
+boundary remeshes and tries the early measured stop; a pinned one tries
+that stop after every step and remeshes only when quality demands it; 0
+turns the early stop off in both and leaves only the quality remesh) and
+``diagnostics_path`` (one JSON line per flow step).  Step sizes,
 tolerances (the volume restore's ``RESTORE_REL_TOL`` and
 ``RESTORE_MAX_ITER`` among them) and the quality floor are the module
 constants below; the remesher's target edge length and the Sobolev length
@@ -108,7 +109,13 @@ RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
 
 @dataclass
 class SolveConfig:
-    """Knobs of one solve; every field has a sane default except ``mode``."""
+    """Knobs of one solve; every field has a sane default except ``mode``.
+
+    ``remesh_every`` is the cadence on which a free boundary remeshes and
+    tries the early "measured" stop; a pinned boundary tries that stop after
+    every step and remeshes only when a face falls under the quality floor.
+    ``remesh_every = 0`` turns the early stop off in both modes.
+    """
 
     mode: str
     params: CapillaryParams | None = None
@@ -202,17 +209,19 @@ class _Position:
     It lives in the position cache of the mesh it describes (so
     ``invalidate_geometry`` drops it) and carries the key of the flow state
     that computed it: a mesh evaluated by one solve never serves another
-    solve's operator, gamma or kappa.  Only scalars and vertex gradients are
-    kept, never the per-face arrays of the pass.
+    solve's operator, gamma or kappa.  Only scalars, vertex gradients and
+    ``_measure``'s result are kept, never the per-face arrays of the pass.
     """
 
     __slots__ = ("key", "area", "energy", "volume", "quality", "c", "g",
-                 "wet", "wet_grad")
+                 "wet", "wet_grad", "measured")
 
     def __init__(self, key):
         self.key = key
         self.area = self.energy = self.volume = self.quality = None
         self.c = self.g = self.wet = self.wet_grad = None
+        # (law constant, _measure's dict) of the last measurement here
+        self.measured = None
 
 
 def _at(m: TriMesh, state: FlowState, *, energy: bool = False,
@@ -698,9 +707,9 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     prev_e = None
     recent: list = []
     pinned = state.operator is None
+    every = config.remesh_every
     while True:
-        cadence = (config.remesh_every > 0 and steps > 0
-                   and steps % config.remesh_every == 0)
+        cadence = every > 0 and steps > 0 and steps % every == 0
         # a free contact line drifts at fixed connectivity, so a free solve
         # also remeshes on the cadence (on a pinned one that only raised the
         # pointwise H error).  A remesh waits until the mesh has moved a fifth
@@ -712,11 +721,14 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
-        elif cadence and (pinned or steps >= 2 * config.remesh_every):
+        elif ((pinned and every > 0 and steps > 0)
+              or (cadence and steps >= 2 * every)):
             # see if the measured physics already passes before grinding out
-            # the last tangential modes (a free solve first lets one cadence
-            # remesh settle), judging the height law about the flow's own
-            # multiplier, as the report of a fixed-volume solve does
+            # the last tangential modes, judging the height law about the
+            # flow's own multiplier, as the report of a fixed-volume solve
+            # does.  A pinned solve tries after every step: the check reads
+            # the gradients the next step computes here anyway.  A free one
+            # tries on the cadence, once one cadence remesh has settled
             if _measure(mesh, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
@@ -769,10 +781,16 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     Under the height law (kappa != 0) the estimator already subtracts
     kappa z, so the deviation is the law residual about the law constant
     ``mu_for_law`` (the other modes ignore it); h_mean still reports the
-    achieved mean of H itself.
+    achieved mean of H itself.  The result is kept on the position, so a
+    second call there reads it (callers must not change it).
     """
-    interior = ~mesh.boundary_vertex_mask
     p = _at(mesh, state, c=True, g=True)
+    # only the height law reads the law constant; the stop check, the
+    # diagnostics line and the report at one position share one measurement
+    law = mu_for_law if state.kappa != 0.0 else None
+    if p.measured is not None and p.measured[0] == law:
+        return p.measured[1]
+    interior = ~mesh.boundary_vertex_mask
     q, ok = _pointwise_multiplier(p.g, p.c, interior)
     if q.size == 0:
         h_dev = h_mean = math.nan
@@ -790,8 +808,10 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
         rep = contact_angle(mesh, op.sphere, side=op.side)
         angle_mean, angle_dev = rep.mean, rep.max_deviation
         passed = passed and angle_dev <= ANGLE_TOL
-    return {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
-            "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
+    result = {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
+              "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
+    p.measured = (law, result)
+    return result
 
 
 def _final_report(mesh: TriMesh, state: FlowState, info: dict,

@@ -317,17 +317,22 @@ def test_dirichlet_entry_point(tmp_path):
     assert len(_diagnostics(path, False)) == report.iterations > 0
 
 
-def _remesh_calls(monkeypatch) -> list:
-    """A list that grows by one on every remesh a solve runs."""
+def _counted(monkeypatch, name, record) -> list:
+    """A list that gets ``record(*args)`` on every call of ``solver.name``."""
     calls = []
-    remesh = solver._remesh_with_stats
+    fn = getattr(solver, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
-        return remesh(*args, **kwargs)
+        calls.append(record(*args))
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_remesh_with_stats", counted)
+    monkeypatch.setattr(solver, name, counted)
     return calls
+
+
+def _remesh_calls(monkeypatch) -> list:
+    """A list that grows by one on every remesh a solve runs."""
+    return _counted(monkeypatch, "_remesh_with_stats", lambda *a: None)
 
 
 def _squashed_disk(factor):
@@ -340,17 +345,18 @@ def _squashed_disk(factor):
 
 
 def test_a_budget_that_ends_on_a_cadence_step_tries_the_stop():
-    # this solve first passes the measured check at step 200; a budget of
-    # 200 once ended before that step's check, on "budget" and unconverged
+    # a pinned solve tries the measured check after every step, and this one
+    # first passes it at step 199; a budget of 199 once ended before that
+    # step's check, on "budget" and unconverged
     init, boundary = _squashed_disk(0.05)
     (short, r_short), (long, r_long) = (
         solver.solve_dirichlet_cmc(
             boundary, init,
             solver.SolveConfig(mode="dirichlet_cmc", max_iterations=budget),
             target_volume=0.5)
-        for budget in (200, 2000))
+        for budget in (199, 2000))
     assert r_short.message == r_long.message == "measured"
-    assert r_short.converged and r_short.iterations == r_long.iterations == 200
+    assert r_short.converged and r_short.iterations == r_long.iterations == 199
     assert np.array_equal(short.vertices, long.vertices)
 
 
@@ -371,7 +377,8 @@ def test_quality_trigger_remeshes_a_pinned_solve(monkeypatch):
 def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
                                                     unit_sphere):
     # the 1071-vertex disk to the H = 2/3 cap: a cadence remesh at step 25
-    # once held its stop back to step 50 and ended at jet h_p90 0.055
+    # once held its stop back to step 50 and ended at jet h_p90 0.055, and
+    # a stop tried on the cadence alone held it back to step 25
     calls = _remesh_calls(monkeypatch)
     flat = flat_disk(1.0, n_angular=112, n_rings=18)
     init = perturb_normal(flat, 0.05 * mean_edge_length(flat), rng,
@@ -381,7 +388,7 @@ def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
         flat.vertices[flat.boundary_vertex_mask], init,
         target_volume=cap.dome_volume)
     assert calls == []
-    assert (report.message, report.iterations) == ("measured", 25)
+    assert (report.message, report.iterations) == ("measured", 5)
     assert report.converged
     # meshes are wound out of the drop
     h = -jet_mean_curvature(mesh)[~mesh.boundary_vertex_mask]
@@ -398,6 +405,68 @@ def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
                                  remesh_every=every)
         solver.solve_capillary(unit_sphere, params, init, cfg)
         assert bool(calls) == (every > 0)
+
+
+def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
+    # the check reads the gradients the next step computes at the same
+    # position, so stopping "measured" at step k costs what a k-step budget
+    # does
+    passes = _counted(monkeypatch, "_face_pass", lambda *a: None)
+    disk = flat_disk(1.0, n_angular=32, n_rings=6)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+
+    def solve(cfg):
+        passes.clear()
+        mesh, report = solver.solve_dirichlet_cmc(boundary, disk.copy(), cfg,
+                                                  target_volume=0.5)
+        return mesh, report, len(passes)
+
+    stopped, r_stopped, n_stopped = solve(None)
+    assert r_stopped.message == "measured" and r_stopped.converged
+    ran, r_ran, n_ran = solve(solver.SolveConfig(
+        mode="dirichlet_cmc", remesh_every=0,
+        max_iterations=r_stopped.iterations))
+    assert r_ran.message == "budget"
+    assert n_ran == n_stopped
+    assert np.array_equal(ran.vertices, stopped.vertices)
+
+
+def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
+                                                          unit_sphere):
+    # a free solve tries the measured stop on cadence steps from
+    # 2 * remesh_every on, and not on a step that remeshed; this one runs
+    # to its budget, remeshing on the cadence and on the quality trigger
+    tries = _counted(monkeypatch, "_measure", lambda m, state, mu:
+                     state.iteration)
+    remeshes = _counted(monkeypatch, "_do_remesh", lambda m, state:
+                        state.iteration)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(80.0),
+                             target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=120,
+                             remesh_every=10)
+    _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert report.message == "budget"
+    assert any(step % 10 for step in remeshes)
+    # the last measurement is the report's
+    assert tries[-1] == 120
+    assert tries[:-1] == [step for step in range(20, 121, 10)
+                          if step not in remeshes]
+
+
+def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
+    # the stop check and the report once measured the final mesh apart, and
+    # so ran contact_angle on it twice
+    meshes = _counted(monkeypatch, "contact_angle", lambda m, *a: m)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=120,
+                             remesh_every=10)
+    mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert report.message == "measured" and report.converged
+    assert sum(m is mesh for m in meshes) == 1
 
 
 @pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
@@ -654,6 +723,9 @@ def test_height_law_diagnostics_give_the_law_residual(unit_sphere):
         mode="prescribed_height_curvature", params=params,
         substrate=unit_sphere))
     _, diag = solver.flow_step(mesh, state)
+    # a measurement about another law constant, as the stop check takes at
+    # a step's start position before the step updates the multiplier
+    solver._measure(mesh, state, state.multiplier + 1.0)
     sink = io.StringIO()
     solver._write_diag(sink, diag, mesh, state)
     line = json.loads(sink.getvalue())
