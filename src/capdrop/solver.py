@@ -876,6 +876,23 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
     return mesh, info
 
 
+def _pinned_start_volume(init: TriMesh, volume: float, target: float) -> float:
+    """Volume from which the tuner of a pinned curvature target starts.
+
+    The tuner's secant never crosses zero volume.  Across a planar boundary
+    the flat disk spanning it has the least area, so area grows with |V| on
+    both sides and the multiplier has the sign of V: a target of the other
+    sign than the init's volume is reachable only from the mirror volume.
+    A perturbed flat init lands on either side of zero, so without the
+    mirror whether a solve could converge depended on the perturbation.
+    """
+    b = init.vertices[init.boundary_vertex_mask]
+    s = np.linalg.svd(b - b.mean(axis=0), compute_uv=False)
+    if s[-1] <= 1e-9 * s[0] and volume * target < 0.0:
+        return -volume
+    return volume
+
+
 def _config_for(mode: str, config: SolveConfig | None,
                 sphere: Sphere | None = None,
                 params: CapillaryParams | None = None) -> SolveConfig:
@@ -907,6 +924,9 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
     volume runs the flow once, a curvature target runs the volume tuner
     around it."""
     state = init_flow_state(init, config, volume_target=target_volume)
+    if target_curvature is not None and state.operator is None:
+        state.volume_target = _pinned_start_volume(init, state.volume_target,
+                                                   target_curvature)
     with (contextlib.nullcontext() if config.diagnostics_path is None
           else open(config.diagnostics_path, "w")) as sink:
         if target_curvature is None:

@@ -223,6 +223,41 @@ def test_missed_curvature_target_is_not_converged():
     assert "missed curvature target 0.666667" in report.message
 
 
+def _sagged_disk(depth):
+    # the flat disk with its interior pushed to z = -depth (1 - r^2): a
+    # volume of sign opposite to depth, as a perturbed flat init may have
+    disk = flat_disk(1.0, n_angular=24, n_rings=4)
+    v = disk.vertices.copy()
+    v[:, 2] = -depth * (1.0 - (v[:, :2] ** 2).sum(axis=1))
+    return disk, disk.with_vertices(v)
+
+
+def test_pinned_curvature_target_is_reached_from_the_other_side_of_zero():
+    # the tuner's secant never crosses zero volume; from this init it once
+    # shrank the negative volume for 24 rounds and missed the target
+    disk, init = _sagged_disk(1e-3)
+    assert init.divergence_volume() < 0.0
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    _, report = solver.solve_dirichlet_cmc(boundary, init,
+                                           target_mean_curvature=2.0 / 3.0)
+    assert report.converged
+    assert report.volume > 0.0
+    assert report.multiplier == pytest.approx(2.0 / 3.0, rel=1e-2)
+
+
+def test_pinned_start_volume_mirrors_only_across_a_planar_boundary():
+    _, init = _sagged_disk(1e-3)
+    assert solver._pinned_start_volume(init, -1e-3, 2.0 / 3.0) == 1e-3
+    # already on the target's side
+    assert solver._pinned_start_volume(init, -1e-3, -2.0 / 3.0) == -1e-3
+    assert solver._pinned_start_volume(init, 1e-3, 2.0 / 3.0) == 1e-3
+    # off a plane the multiplier need not have the sign of the volume
+    v = init.vertices.copy()
+    v[:, 2] += 0.1 * v[:, 0] ** 2
+    bent = init.with_vertices(v)
+    assert solver._pinned_start_volume(bent, -1e-3, 2.0 / 3.0) == -1e-3
+
+
 def test_solve_config_rejects_bad_counts():
     with pytest.raises(ValueError, match="max_iterations"):
         solver.SolveConfig(mode="dirichlet_cmc", max_iterations=0)
