@@ -13,7 +13,9 @@ backtracking line search enforces descent, and the volume is restored
 after every trial by a chord iteration along the step's own preconditioned
 volume gradient, so the constraint drifts only at round-off.  One linear
 solve per step gives both the descent direction and that field; each
-restore iterate needs only its volume.
+restore iterate needs only its volume.  A pinned boundary with a curvature
+target H minimizes A - 2 H V with neither projection nor restore: below
+the hemisphere the small cap is a strict local minimum of it.
 
 Every position the flow visits is evaluated by one face pass
 (``_face_pass``): the face corners are gathered once, and their cross
@@ -33,22 +35,15 @@ vertices slide tangentially on the substrate sphere;
 ``prescribed_height_curvature`` adds the kappa term and requires the
 boundary in the upper open hemisphere.  The three ``solve_*`` entry points
 check their own arguments and then take one shared path: a fixed volume
-runs the flow once, a curvature target runs a secant on the volume around
-it.  Past ``init_flow_state`` the flow reads the problem from its state
-alone (see ``FlowState``).
+and a pinned curvature target run the flow once, a free boundary's
+curvature target runs a secant on the volume around it.  Past
+``init_flow_state`` the flow reads the problem from its state alone (see
+``FlowState``).
 
-``SolveConfig`` holds what a caller may set: ``mode``, ``params`` and
-``substrate`` (both required outside ``dirichlet_cmc``, which rejects
-them), ``max_iterations``, ``remesh_every`` (the cadence on which a free
-boundary remeshes and tries the early measured stop; a pinned one tries
-that stop after every step and remeshes only when quality demands it; 0
-turns the early stop off in both and leaves only the quality remesh) and
-``diagnostics_path`` (one JSON line per flow step).  Step sizes,
-tolerances (the volume restore's ``RESTORE_REL_TOL`` and
-``RESTORE_MAX_ITER`` among them) and the quality floor are the module
-constants below; the remesher's target edge length and the Sobolev length
-(a quarter of the bounding-box diagonal, fixed for the solve) come from the
-init mesh.
+``SolveConfig`` holds what a caller may set.  Step sizes, tolerances and
+the quality floor are the module constants below; the remesher's target
+edge length and the Sobolev length (a quarter of the bounding-box
+diagonal, fixed for the solve) come from the init mesh.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -79,17 +74,9 @@ from .wetting import (WettingOperator, _require_origin_centered,
                       make_wetting_operator, surface_z_moment,
                       surface_z_moment_gradient)
 
-__all__ = [
-    "MODES",
-    "SolveConfig",
-    "SolveReport",
-    "FlowState",
-    "init_flow_state",
-    "flow_step",
-    "solve_dirichlet_cmc",
-    "solve_capillary",
-    "solve_prescribed_height_curvature",
-]
+__all__ = ["MODES", "SolveConfig", "SolveReport", "FlowState",
+           "init_flow_state", "flow_step", "solve_dirichlet_cmc",
+           "solve_capillary", "solve_prescribed_height_curvature"]
 
 MODES = ("dirichlet_cmc", "capillary", "prescribed_height_curvature")
 
@@ -111,10 +98,12 @@ RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
 class SolveConfig:
     """Knobs of one solve; every field has a sane default except ``mode``.
 
-    ``remesh_every`` is the cadence on which a free boundary remeshes and
-    tries the early "measured" stop; a pinned boundary tries that stop after
-    every step and remeshes only when a face falls under the quality floor.
-    ``remesh_every = 0`` turns the early stop off in both modes.
+    ``params`` and ``substrate`` are required outside ``dirichlet_cmc``,
+    which rejects them.  ``remesh_every`` is the cadence on which a free
+    boundary remeshes and tries the early "measured" stop; a pinned boundary
+    tries that stop after every step and remeshes only when a face falls
+    under the quality floor.  ``remesh_every = 0`` turns the early stop off
+    in both.  ``diagnostics_path`` gets one JSON line per flow step.
     """
 
     mode: str
@@ -153,8 +142,15 @@ class SolveReport:
     (energy gradient against volume gradient) in the toward-the-drop
     convention; in prescribed-height-curvature mode the deviation is the
     residual of the law H = kappa z + mu instead of the spread about the
-    mean.  ``multiplier`` is lambda/2 from the final iterate.  If
-    ``converged`` is true the deviation fields passed their tolerances.
+    mean, and for a pinned curvature target it is taken about the target H.
+    ``final_energy`` leaves out a pinned target's pressure term (so it is
+    the area), and ``multiplier`` is the measured lambda/2 from the final
+    iterate.  ``message`` names the stop: "measured", "gradient", "stalled"
+    (20 steps without an energy drop) or "collapsed" (no descent step),
+    which converge if the deviation fields passed their tolerances, or
+    "budget", "runaway" (a pinned target's area passed that of the sphere
+    of curvature H) or a missed free-boundary curvature target, which do
+    not.
     """
 
     converged: bool
@@ -178,7 +174,8 @@ class FlowState:
     ``operator`` is the wetting operator of a free boundary, None when the
     boundary is pinned; its ``sphere`` is the substrate and its
     ``side_sign`` the drop's side.  ``kappa`` is nonzero only under the
-    height law."""
+    height law.  ``pressure`` is the target H of a pinned curvature target:
+    the flow then minimizes A - 2 H V and ``volume_target`` is unused."""
 
     volume_target: float
     gamma: float
@@ -193,6 +190,7 @@ class FlowState:
     needs_remesh: bool = False
     side_violation_streak: int = 0
     disp_since_remesh: float = math.inf
+    pressure: float | None = None
     _precond: object = None
     _precond_stale: float = math.inf
     # tags the values this state computed at a position (see _Position)
@@ -233,6 +231,9 @@ def _at(m: TriMesh, state: FlowState, *, energy: bool = False,
     p = m._cache.get("flow")
     if p is None or p.key is not state._key:
         p = m._cache["flow"] = _Position(state._key)
+    if state.pressure is not None:
+        # the pressure term -2 H V reads the volume and its gradient
+        volume, c = volume or energy, c or g
     energy = energy and p.energy is None
     volume = volume and p.volume is None
     c = c and p.c is None
@@ -253,6 +254,8 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
     anyway); b x c gives the divergence volume a . (b x c) / 6 and, with
     c x a and a x b, its gradient.  Both gradients leave through one
     scatter.  The wetting terms come from one circulation per position.
+    A pinned target's pressure term takes 2 H V off the energy and 2 H c
+    off its gradient.
     """
     v, f = m.vertices, m.faces
     a, b, c = (np.take(v, f[:, k], axis=0) for k in range(3))
@@ -271,6 +274,11 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
         if p.wet_grad is None and (want_c or (want_g and cosg != 0.0)):
             p.wet_grad = op.area_gradient(v)
 
+    if volume:
+        vol = float(np.einsum("ij,ij->i", a, bc).sum() / 6.0)
+        if op is not None:
+            vol += vol_per_wet * p.wet
+        p.volume = vol
     if energy:
         p.area = e = 0.5 * float(nn.sum())
         l2 = sum(np.einsum("ij,ij->i", d, d) for d in edges)
@@ -281,12 +289,9 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
             if state.kappa != 0.0:
                 e -= 2.0 * state.kappa * (surface_z_moment(v, f)
                                           + op.z_moment_term(v))
+        if state.pressure is not None:
+            e -= 2.0 * state.pressure * p.volume
         p.energy = e
-    if volume:
-        vol = float(np.einsum("ij,ij->i", a, bc).sum() / 6.0)
-        if op is not None:
-            vol += vol_per_wet * p.wet
-        p.volume = vol
     if not (want_c or want_g):
         return
 
@@ -315,6 +320,8 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
             if state.kappa != 0.0:
                 gr = gr - 2.0 * state.kappa * (surface_z_moment_gradient(m)
                                                + op.z_moment_term_gradient(v))
+        if state.pressure is not None:
+            gr = gr - 2.0 * state.pressure * p.c
         p.g = gr
     # every later request at this position gets these same arrays
     for arr in (p.c, p.g, p.wet_grad):
@@ -381,7 +388,10 @@ def _restore_volume(m: TriMesh, state: FlowState,
     it.
 
     A free boundary moves along tangents of the substrate, which leave it
-    at second order, so every iterate is snapped back onto it."""
+    at second order, so every iterate is snapped back onto it.  A pressure
+    flow has no volume constraint, and every mesh is returned as it is."""
+    if state.pressure is not None:
+        return m, True
     tol = RESTORE_REL_TOL * max(1.0, abs(state.volume_target))
     p = _at(m, state, volume=True)
     if abs(state.volume_target - p.volume) <= tol:
@@ -418,10 +428,9 @@ def _cotan_laplacian(m: TriMesh, cots: np.ndarray) -> sparse.csr_matrix:
         rows.extend([j1, j2, j1, j2])
         cols.extend([j2, j1, j1, j2])
         vals.extend([-w, -w, w, w])
-    L = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    return L
 
 
 def _preconditioner(m: TriMesh, state: FlowState):
@@ -455,10 +464,11 @@ def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
                           interior: np.ndarray):
     """Variational curvature estimate from the assembled gradients.
 
-    For interior vertices the energy gradient is 2(H - kappa z) m n and the
-    volume gradient is m n, so their pointwise ratio is constant at any
-    equilibrium of any mode (it equals the multiplier).  Returns that ratio
-    and the mask, over the interior vertices, where it is defined.
+    For interior vertices the energy gradient is 2(H - kappa z - P) m n,
+    with P a pinned target's pressure, and the volume gradient is m n, so
+    their pointwise ratio is constant at any equilibrium of any mode (it
+    equals the multiplier).  Returns that ratio and the mask, over the
+    interior vertices, where it is defined.
     """
     cn2 = (c[interior] ** 2).sum(1)
     ok = cn2 > 1e-300
@@ -478,15 +488,10 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
         p = config.params
         gamma, kappa = p.gamma, p.kappa
         operator = make_wetting_operator(mesh, config.substrate, side=p.side)
-    state = FlowState(
-        volume_target=0.0,
-        gamma=gamma,
-        kappa=kappa,
-        operator=operator,
-        target_edge=mean_edge_length(mesh),
-        sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
-        step=INITIAL_STEP,
-    )
+    state = FlowState(volume_target=0.0, gamma=gamma, kappa=kappa,
+                      operator=operator, target_edge=mean_edge_length(mesh),
+                      sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
+                      step=INITIAL_STEP)
     if volume_target is None:
         volume_target = _at(mesh, state, volume=True).volume
     state.volume_target = float(volume_target)
@@ -494,8 +499,8 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
 
 
 def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
-    """One volume-preserving descent step; returns the new mesh and a
-    JSON-ready diagnostics dict.
+    """One descent step, volume-preserving unless ``state.pressure`` is set;
+    returns the new mesh and a JSON-ready diagnostics dict.
 
     Everything the step reads is in ``state``: the boundary is pinned when
     ``state.operator`` is None and slides on ``state.operator.sphere``
@@ -520,34 +525,33 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     c_proj = _project_rows(c, mesh, state)
     cc = float((c_proj * c_proj).sum())
     lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
-    grad_norm = float(np.linalg.norm(g_proj - lam * c_proj))
-    state.multiplier = 0.5 * lam
+    h = state.pressure  # a pressure flow's whole residual is its gradient
+    grad_norm = float(np.linalg.norm(g_proj if h is not None
+                                     else g_proj - lam * c_proj))
+    state.multiplier = 0.5 * lam + (h or 0.0)
     state.multiplier_history.append(state.multiplier)
 
-    diag = {
-        "iteration": state.iteration,
-        "energy": e0,
-        "volume": v0,
-        "multiplier": state.multiplier,
-        "gradNorm": grad_norm,
-        "step": 0.0,
-        "displacement": 0.0,
-        "sideViolations": 0,
-    }
+    diag = {"iteration": state.iteration, "energy": e0, "volume": v0,
+            "multiplier": state.multiplier, "gradNorm": grad_norm,
+            "step": 0.0, "displacement": 0.0, "sideViolations": 0}
     if grad_norm <= GRAD_TOL_FACTOR * area:
         state.iteration += 1
         return mesh, diag
 
     lu = _preconditioner(mesh, state)
-    sol = lu.solve(np.hstack([g_proj, c_proj]))
-    pg, pc = sol[:, :3], sol[:, 3:]
-    # every restore of this step moves along the start position's field
-    restore = _restore_direction(mesh, state, pc)
-    denom = float((c_proj * pc).sum())
-    lam_pre = float((c_proj * pg).sum()) / denom if denom != 0 else 0.0
-    # volume-neutral by construction: c_proj . d = 0 through lam_pre, so
-    # the restore after each trial is a second-order correction
-    d = -(pg - lam_pre * pc)
+    if h is not None:
+        # no constraint: nothing is projected out and no trial is restored
+        d, restore = -lu.solve(g_proj), None
+    else:
+        sol = lu.solve(np.hstack([g_proj, c_proj]))
+        pg, pc = sol[:, :3], sol[:, 3:]
+        # every restore of this step moves along the start position's field
+        restore = _restore_direction(mesh, state, pc)
+        denom = float((c_proj * pc).sum())
+        lam_pre = float((c_proj * pg).sum()) / denom if denom != 0 else 0.0
+        # volume-neutral by construction: c_proj . d = 0 through lam_pre, so
+        # the restore after each trial is a second-order correction
+        d = -(pg - lam_pre * pc)
     d = _project_rows(d, mesh, state)
     # in the A^-1 inner product (A = M + alpha L is symmetric positive
     # definite) the slope is -(|g_p|^2 - <c_p, g_p>^2 / |c_p|^2): negative by
@@ -738,7 +742,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         try:
             mesh, diag = flow_step(mesh, state)
         except StepCollapseError:
-            stop = "stalled"
+            stop = "collapsed"
             break
         steps += 1
         grad_norm = diag["gradNorm"]
@@ -750,6 +754,12 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         prev_e = diag["energy"]
         if grad_norm <= GRAD_TOL_FACTOR * area:
             stop = "gradient"
+            break
+        # past the area of the whole sphere of curvature H, 4 pi / H^2, the
+        # pressure flow has left every cap behind and grows without bound
+        if (state.pressure is not None and _at(mesh, state, energy=True).area
+                * state.pressure ** 2 > 4.0 * math.pi):
+            stop = "runaway"
             break
         recent.append(diag["energy"])
         if len(recent) > 20:
@@ -781,8 +791,9 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     Under the height law (kappa != 0) the estimator already subtracts
     kappa z, so the deviation is the law residual about the law constant
     ``mu_for_law`` (the other modes ignore it); h_mean still reports the
-    achieved mean of H itself.  The result is kept on the position, so a
-    second call there reads it (callers must not change it).
+    achieved mean of H itself.  Under a pinned target's pressure the
+    deviation is taken about that H.  The result is kept on the position,
+    so a second call there reads it (callers must not change it).
     """
     p = _at(mesh, state, c=True, g=True)
     # only the height law reads the law constant; the stop check, the
@@ -797,6 +808,9 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     elif state.kappa != 0.0:
         h_dev = float(np.abs(q - mu_for_law).max())
         h_mean = float((q + state.kappa * mesh.vertices[interior, 2][ok]).mean())
+    elif state.pressure is not None:
+        h_dev = float(np.abs(q).max())
+        h_mean = float(q.mean()) + state.pressure
     else:
         h_mean = float(q.mean())
         h_dev = float(np.abs(q - h_mean).max())
@@ -816,16 +830,17 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
 
 def _final_report(mesh: TriMesh, state: FlowState, info: dict,
                   mu_for_law: float) -> SolveReport:
-    e, vol = _energy_volume(mesh, state)
+    p = _at(mesh, state, energy=True, volume=True)
     m = _measure(mesh, state, mu_for_law)
-    converged = info["stop"] in ("gradient", "stalled", "measured") and m["pass"]
+    converged = info["stop"] in ("gradient", "stalled", "collapsed",
+                                 "measured") and m["pass"]
     return SolveReport(
         converged=converged,
         iterations=state.iteration,
-        final_energy=e,
+        final_energy=p.area if state.operator is None else p.energy,
         h_mean=m["h_mean"],
         h_max_deviation=m["h_dev"],
-        volume=vol,
+        volume=p.volume,
         multiplier=state.multiplier,
         multiplier_history=list(state.multiplier_history),
         contact_angle_mean=m["angle_mean"],
@@ -839,8 +854,11 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
                  target: float, sink) -> tuple[TriMesh, dict]:
     """Outer secant on the volume target until lambda/2 matches ``target``.
 
-    A solve that ends with the multiplier off the target stops on a message
-    naming the missed target, not on what the last inner flow stopped on."""
+    Only a free boundary's curvature target runs it: there volume can fall
+    as H rises, and a flow on the pressure term would be unstable.  A solve
+    that reaches the target keeps the stop of its last inner flow; one that
+    ends with the multiplier off the target stops on a message naming the
+    missed target."""
     tol = MULTIPLIER_TOL_FACTOR * (abs(target) + _h_scale(state, mesh))
     inner = max(50, config.max_iterations // 10)
     total = 0
@@ -857,7 +875,6 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
         total += info["steps"]
         m_cur = state.multiplier
         if abs(m_cur - target) <= tol and info["stop"] != "budget":
-            info["stop"] = "gradient"
             return mesh, info
         if m_prev is None or m_cur == m_prev:
             # growing a negative volume's magnitude lowers the volume
@@ -867,30 +884,12 @@ def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
             v_next = v_cur + (target - m_cur) * (v_cur - v_prev) / (m_cur - m_prev)
             lo, hi = sorted((0.4 * v_cur, 2.5 * v_cur))
             v_next = min(max(v_next, lo), hi)
-        v_prev, m_prev = v_cur, m_cur
-        v_cur = v_next
+        v_prev, m_prev, v_cur = v_cur, m_cur, v_next
     if not abs(state.multiplier - target) <= tol:
         info["stop"] = (f"missed curvature target {target:.6g}: multiplier "
                         f"{state.multiplier:.6g} after inner stop "
                         f"{info['stop']!r}")
     return mesh, info
-
-
-def _pinned_start_volume(init: TriMesh, volume: float, target: float) -> float:
-    """Volume from which the tuner of a pinned curvature target starts.
-
-    The tuner's secant never crosses zero volume.  Across a planar boundary
-    the flat disk spanning it has the least area, so area grows with |V| on
-    both sides and the multiplier has the sign of V: a target of the other
-    sign than the init's volume is reachable only from the mirror volume.
-    A perturbed flat init lands on either side of zero, so without the
-    mirror whether a solve could converge depended on the perturbation.
-    """
-    b = init.vertices[init.boundary_vertex_mask]
-    s = np.linalg.svd(b - b.mean(axis=0), compute_uv=False)
-    if s[-1] <= 1e-9 * s[0] and volume * target < 0.0:
-        return -volume
-    return volume
 
 
 def _config_for(mode: str, config: SolveConfig | None,
@@ -921,15 +920,15 @@ def _config_for(mode: str, config: SolveConfig | None,
 def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
            target_curvature: float | None) -> tuple[TriMesh, SolveReport]:
     """The path every solve takes once its arguments are checked: a fixed
-    volume runs the flow once, a curvature target runs the volume tuner
-    around it."""
+    volume runs the flow once, and so does a pinned curvature target, on
+    A - 2 H V; a free boundary's curvature target runs the volume tuner
+    around the flow."""
     state = init_flow_state(init, config, volume_target=target_volume)
     if target_curvature is not None and state.operator is None:
-        state.volume_target = _pinned_start_volume(init, state.volume_target,
-                                                   target_curvature)
+        state.pressure = float(target_curvature)
     with (contextlib.nullcontext() if config.diagnostics_path is None
           else open(config.diagnostics_path, "w")) as sink:
-        if target_curvature is None:
+        if target_curvature is None or state.pressure is not None:
             mesh, info = _run_flow(init, config, state, sink)
         else:
             mesh, info = _tune_volume(init, config, state, target_curvature,
@@ -953,10 +952,11 @@ def solve_dirichlet_cmc(boundary: np.ndarray, init: TriMesh,
     """Constant-H surface spanning the pinned polyline ``boundary``.
 
     Exactly one of target_volume / target_mean_curvature selects the
-    constraint: either the enclosed (divergence) volume is fixed, or the
-    volume is tuned until the equilibrium multiplier matches the target H.
-    The init mesh must have ``boundary`` as its boundary vertex set; those
-    vertices never move.
+    problem: either the enclosed (divergence) volume is fixed, or the flow
+    minimizes A - 2 H V, unconstrained, and finds the small (stable) surface:
+    on a circle of radius rho that needs |H| < 1 / rho, and a larger target
+    ends unconverged on "runaway".  The init mesh's winding fixes which side
+    is up, and its boundary vertices must be ``boundary``; they never move.
     """
     config = _config_for("dirichlet_cmc", config)
     if (target_volume is None) == (target_mean_curvature is None):

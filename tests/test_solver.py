@@ -212,15 +212,111 @@ def test_volume_tuner_below_zero_moves_toward_zero(monkeypatch, dm_dv):
     assert all(abs(b) < abs(a) for a, b in zip(targets, targets[1:]))
 
 
-def test_missed_curvature_target_is_not_converged():
-    # the flat disk is critical at every volume the tuner tries from zero,
-    # so the multiplier stays at 0 and never reaches the target 2/3
-    disk = flat_disk(1.0, n_angular=112, n_rings=18)
+def _unit_disk():
+    """The 1071-vertex flat disk of the ``oracle_1k`` solves, its pinned unit
+    circle and the H = 2/3 small cap over that circle."""
+    flat = flat_disk(1.0, n_angular=112, n_rings=18)
+    cap, _ = spherical_caps_for_circle(1.0, 2.0 / 3.0)
+    return flat, flat.vertices[flat.boundary_vertex_mask], cap
+
+
+def test_pinned_curvature_target_reaches_the_small_cap_from_a_flat_disk(rng):
+    # the exact flat disk is critical at every volume, so a volume tuner
+    # started from it never moved; the flow on A - 2 H V leaves it at once
+    flat, boundary, cap = _unit_disk()
+    bumped = perturb_normal(flat, 0.05 * mean_edge_length(flat), rng,
+                            keep_boundary=True)
+    for init in (flat, bumped):
+        _, report = solver.solve_dirichlet_cmc(
+            boundary, init, target_mean_curvature=cap.mean_curvature)
+        assert report.converged
+        assert report.volume == pytest.approx(cap.dome_volume, rel=1e-2)
+        assert report.multiplier == pytest.approx(cap.mean_curvature,
+                                                  rel=1e-2)
+        # the report gives the area, not A - 2 H V
+        assert report.final_energy == pytest.approx(cap.area, rel=1e-2)
+
+
+def test_pinned_zero_curvature_target_gives_the_flat_disk(rng):
+    flat, boundary, _ = _unit_disk()
+    init = perturb_normal(flat, 0.05 * mean_edge_length(flat), rng,
+                          keep_boundary=True)
+    mesh, report = solver.solve_dirichlet_cmc(boundary, init,
+                                              target_mean_curvature=0.0)
+    assert report.converged
+    assert np.abs(mesh.vertices[:, 2]).max() <= 1e-5
+    assert report.final_energy == pytest.approx(math.pi, rel=1e-2)
+
+
+def test_pinned_negative_curvature_target_gives_the_mirror_cap(rng):
+    # the init's winding fixes which side is up: -H lands on the small cap
+    # reflected through the boundary plane
+    flat, boundary, cap = _unit_disk()
+    init = perturb_normal(flat, 0.05 * mean_edge_length(flat), rng,
+                          keep_boundary=True)
+    mesh, report = solver.solve_dirichlet_cmc(
+        boundary, init, target_mean_curvature=-cap.mean_curvature)
+    assert report.converged
+    assert report.volume == pytest.approx(-cap.dome_volume, rel=1e-2)
+    assert mesh.vertices[:, 2].max() <= 1e-6 < -mesh.vertices[:, 2].min()
+
+
+def test_pinned_curvature_target_with_no_small_cap_runs_away():
+    # no cap over the unit circle has H = 1.2 > 1, and the flow on
+    # A - 2 H V grows without bound: 2034 vertices and V = 249 by step 50
+    # before the stop; it ends once the area passes the sphere's 4 pi / H^2
+    flat, boundary, _ = _unit_disk()
+    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=50)
+    mesh, report = solver.solve_dirichlet_cmc(boundary, flat, cfg,
+                                              target_mean_curvature=1.2)
+    assert (report.message, report.converged) == ("runaway", False)
+    assert report.iterations < 50
+    assert mesh.n_vertices == flat.n_vertices
+    assert report.final_energy * 1.2 ** 2 > 4.0 * math.pi
+
+
+def test_pinned_curvature_target_never_tunes_the_volume(monkeypatch):
+    def tune(*args, **kwargs):
+        raise AssertionError("a pinned curvature target ran the volume tuner")
+
+    monkeypatch.setattr(solver, "_tune_volume", tune)
+    disk = flat_disk(1.0, n_angular=24, n_rings=4)
     boundary = disk.vertices[disk.boundary_vertex_mask]
     _, report = solver.solve_dirichlet_cmc(boundary, disk,
-                                           target_mean_curvature=2.0 / 3.0)
-    assert not report.converged
-    assert "missed curvature target 0.666667" in report.message
+                                           target_mean_curvature=0.5)
+    assert report.converged
+
+
+def test_a_collapsed_step_has_its_own_stop(monkeypatch):
+    # a collapse once reported "stalled", the name of the energy plateau;
+    # it may still converge, here on the critical flat disk
+    def collapse(mesh, state):
+        raise StepCollapseError("no descent direction at current iterate")
+
+    monkeypatch.setattr(solver, "flow_step", collapse)
+    disk = flat_disk(1.0, n_angular=16, n_rings=4)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    _, report = solver.solve_dirichlet_cmc(boundary, disk,
+                                           target_mean_curvature=0.0)
+    assert (report.message, report.converged) == ("collapsed", True)
+
+
+@pytest.mark.parametrize("stop", ["measured", "stalled", "collapsed",
+                                  "gradient"])
+def test_volume_tuner_keeps_the_inner_stop(monkeypatch, stop):
+    # a target reached on a converged inner stop was once reported as
+    # "gradient", whatever that flow stopped on
+    def flow(mesh, config, state, sink=None, iteration_budget=None):
+        state.multiplier = 2.0 / 3.0
+        return mesh, {"stop": stop, "steps": 3, "grad_norm": 1.0}
+
+    monkeypatch.setattr(solver, "_run_flow", flow)
+    monkeypatch.setattr(solver, "_restore_volume", _volume_met)
+    disk = flat_disk(1.0, n_angular=16, n_rings=4)
+    cfg = solver.SolveConfig(mode="dirichlet_cmc")
+    state = solver.init_flow_state(disk, cfg, volume_target=0.5)
+    _, info = solver._tune_volume(disk, cfg, state, 2.0 / 3.0, None)
+    assert info["stop"] == stop
 
 
 def _sagged_disk(depth):
@@ -243,19 +339,6 @@ def test_pinned_curvature_target_is_reached_from_the_other_side_of_zero():
     assert report.converged
     assert report.volume > 0.0
     assert report.multiplier == pytest.approx(2.0 / 3.0, rel=1e-2)
-
-
-def test_pinned_start_volume_mirrors_only_across_a_planar_boundary():
-    _, init = _sagged_disk(1e-3)
-    assert solver._pinned_start_volume(init, -1e-3, 2.0 / 3.0) == 1e-3
-    # already on the target's side
-    assert solver._pinned_start_volume(init, -1e-3, -2.0 / 3.0) == -1e-3
-    assert solver._pinned_start_volume(init, 1e-3, 2.0 / 3.0) == 1e-3
-    # off a plane the multiplier need not have the sign of the volume
-    v = init.vertices.copy()
-    v[:, 2] += 0.1 * v[:, 0] ** 2
-    bent = init.with_vertices(v)
-    assert solver._pinned_start_volume(bent, -1e-3, 2.0 / 3.0) == -1e-3
 
 
 def test_solve_config_rejects_bad_counts():
