@@ -302,12 +302,13 @@ class CapillaryParams:
 
     gamma is the contact angle in radians; kappa is the slope of the
     prescribed curvature law H = kappa z + mu used by the height-dependent
-    solver mode (kappa = 0 means uniform curvature); its constant mu is set
-    by target_curvature or emerges from the solve.  side selects whether
+    solver mode (kappa = 0 means uniform curvature); its constant mu
+    emerges from the solve.  side selects whether
     the drop lives inside or outside the substrate ball.  Exactly one of
     target_volume / target_curvature must be set: the former fixes the
-    enclosed volume, the latter asks the solver to tune the volume until
-    the achieved curvature constant matches.
+    enclosed volume; the latter, with kappa = 0, fixes the cap drop of that
+    mean curvature, whose volume the solver then holds (the height law
+    takes a volume target only).
     """
 
     gamma: float

@@ -34,11 +34,13 @@ and drops the wetting terms; ``capillary`` (kappa = 0) lets boundary
 vertices slide tangentially on the substrate sphere;
 ``prescribed_height_curvature`` adds the kappa term and requires the
 boundary in the upper open hemisphere.  The three ``solve_*`` entry points
-check their own arguments and then take one shared path: a fixed volume
-and a pinned curvature target run the flow once, a free boundary's
-curvature target runs a secant on the volume around it.  Past
-``init_flow_state`` the flow reads the problem from its state alone (see
-``FlowState``).
+check their own arguments and then take one shared path that runs the flow
+once.  A pinned curvature target flows on A - 2 H V.  A free boundary's
+curvature target with kappa = 0 is a volume target: the stable capillary
+surfaces in a ball are caps (Ros & Souam 1997, Wang & Xia 2019), so H and
+gamma fix one cap and its volume in closed form, and the final multiplier
+is judged against H.  Past ``init_flow_state`` the flow reads the problem
+from its state alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set.  Step sizes, tolerances and
 the quality floor are the module constants below; the remesher's target
@@ -88,7 +90,7 @@ MIN_STEP = 1e-14
 GRAD_TOL_FACTOR = 1e-8         # stop when |proj grad| <= factor * area
 H_DEV_FACTOR = 1e-3            # H constancy: factor * (|H| + H scale)
 ANGLE_TOL = math.radians(1.0)
-MULTIPLIER_TOL_FACTOR = 5e-4   # curvature targets: factor * (|H| + H scale)
+MULTIPLIER_TOL_FACTOR = 5e-4   # free curvature targets: factor * (|H| + H scale)
 QUALITY_FLOOR = 0.08           # a step below this quality asks for a remesh
 RESTORE_REL_TOL = 1e-12        # volume restore: factor * max(1, |target|)
 RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
@@ -103,7 +105,9 @@ class SolveConfig:
     boundary remeshes and tries the early "measured" stop; a pinned boundary
     tries that stop after every step and remeshes only when a face falls
     under the quality floor.  ``remesh_every = 0`` turns the early stop off
-    in both.  ``diagnostics_path`` gets one JSON line per flow step.
+    in both.  ``diagnostics_path`` gets one JSON line per flow step.  The
+    height law takes a volume target only: its law constant mu fixes no
+    closed-form volume.
     """
 
     mode: str
@@ -132,6 +136,11 @@ class SolveConfig:
             raise ValueError(
                 "capillary mode needs kappa = 0; the height law H = "
                 "kappa z + mu is prescribed_height_curvature mode")
+        elif (self.mode == "prescribed_height_curvature"
+              and self.params.target_curvature is not None):
+            raise ValueError(
+                "prescribed_height_curvature mode needs target_volume: the "
+                "law constant mu fixes no closed-form volume")
 
 
 @dataclass
@@ -148,9 +157,10 @@ class SolveReport:
     iterate.  ``message`` names the stop: "measured", "gradient", "stalled"
     (20 steps without an energy drop) or "collapsed" (no descent step),
     which converge if the deviation fields passed their tolerances, or
-    "budget", "runaway" (a pinned target's area passed that of the sphere
-    of curvature H) or a missed free-boundary curvature target, which do
-    not.
+    "budget" or "runaway" (a pinned target's area passed that of the sphere
+    of curvature H), which do not.  A free-boundary curvature target whose
+    final multiplier is off H by more than ``MULTIPLIER_TOL_FACTOR`` does
+    not converge either, and its message names the miss and the stop.
     """
 
     converged: bool
@@ -160,7 +170,6 @@ class SolveReport:
     h_max_deviation: float
     volume: float
     multiplier: float
-    multiplier_history: list = field(default_factory=list)
     contact_angle_mean: float | None = None
     contact_angle_max_deviation: float | None = None
     grad_norm: float = math.nan
@@ -186,7 +195,6 @@ class FlowState:
     step: float
     iteration: int = 0
     multiplier: float = math.nan
-    multiplier_history: list = field(default_factory=list)
     needs_remesh: bool = False
     side_violation_streak: int = 0
     disp_since_remesh: float = math.inf
@@ -529,7 +537,6 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     grad_norm = float(np.linalg.norm(g_proj if h is not None
                                      else g_proj - lam * c_proj))
     state.multiplier = 0.5 * lam + (h or 0.0)
-    state.multiplier_history.append(state.multiplier)
 
     diag = {"iteration": state.iteration, "energy": e0, "volume": v0,
             "multiplier": state.multiplier, "gradNorm": grad_norm,
@@ -694,9 +701,9 @@ def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
 
 
 def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
-              sink=None, iteration_budget: int | None = None) -> tuple[TriMesh, dict]:
+              sink=None) -> tuple[TriMesh, dict]:
     """Drive flow_step to convergence; returns the mesh and a stop record."""
-    budget = iteration_budget or config.max_iterations
+    budget = config.max_iterations
     x = _snap_boundary(mesh.vertices.copy(), mesh, state)
     mesh, ok = _restore_volume(mesh.with_vertices(x), state)
     if not ok:
@@ -728,11 +735,10 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         elif ((pinned and every > 0 and steps > 0)
               or (cadence and steps >= 2 * every)):
             # see if the measured physics already passes before grinding out
-            # the last tangential modes, judging the height law about the
-            # flow's own multiplier, as the report of a fixed-volume solve
-            # does.  A pinned solve tries after every step: the check reads
-            # the gradients the next step computes here anyway.  A free one
-            # tries on the cadence, once one cadence remesh has settled
+            # the last tangential modes.  A pinned solve tries after every
+            # step: the check reads the gradients the next step computes
+            # here anyway.  A free one tries on the cadence, once one
+            # cadence remesh has settled
             if _measure(mesh, state, state.multiplier)["pass"]:
                 stop = "measured"
                 break
@@ -828,10 +834,9 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     return result
 
 
-def _final_report(mesh: TriMesh, state: FlowState, info: dict,
-                  mu_for_law: float) -> SolveReport:
+def _final_report(mesh: TriMesh, state: FlowState, info: dict) -> SolveReport:
     p = _at(mesh, state, energy=True, volume=True)
-    m = _measure(mesh, state, mu_for_law)
+    m = _measure(mesh, state, state.multiplier)
     converged = info["stop"] in ("gradient", "stalled", "collapsed",
                                  "measured") and m["pass"]
     return SolveReport(
@@ -842,54 +847,11 @@ def _final_report(mesh: TriMesh, state: FlowState, info: dict,
         h_max_deviation=m["h_dev"],
         volume=p.volume,
         multiplier=state.multiplier,
-        multiplier_history=list(state.multiplier_history),
         contact_angle_mean=m["angle_mean"],
         contact_angle_max_deviation=m["angle_dev"],
         grad_norm=info["grad_norm"],
         message=info["stop"],
     )
-
-
-def _tune_volume(mesh: TriMesh, config: SolveConfig, state: FlowState,
-                 target: float, sink) -> tuple[TriMesh, dict]:
-    """Outer secant on the volume target until lambda/2 matches ``target``.
-
-    Only a free boundary's curvature target runs it: there volume can fall
-    as H rises, and a flow on the pressure term would be unstable.  A solve
-    that reaches the target keeps the stop of its last inner flow; one that
-    ends with the multiplier off the target stops on a message naming the
-    missed target."""
-    tol = MULTIPLIER_TOL_FACTOR * (abs(target) + _h_scale(state, mesh))
-    inner = max(50, config.max_iterations // 10)
-    total = 0
-    v_prev = m_prev = None
-    v_cur = state.volume_target
-    info = {"stop": "budget", "steps": 0, "grad_norm": math.inf}
-    for _ in range(24):
-        state.volume_target = v_cur
-        mesh, _ = _restore_volume(mesh, state)
-        budget = min(inner, config.max_iterations - total)
-        if budget <= 0:
-            break
-        mesh, info = _run_flow(mesh, config, state, sink, budget)
-        total += info["steps"]
-        m_cur = state.multiplier
-        if abs(m_cur - target) <= tol and info["stop"] != "budget":
-            return mesh, info
-        if m_prev is None or m_cur == m_prev:
-            # growing a negative volume's magnitude lowers the volume
-            grow = (m_cur < target) == (v_cur > 0)
-            v_next = v_cur * (1.06 if grow else 1.0 / 1.06)
-        else:
-            v_next = v_cur + (target - m_cur) * (v_cur - v_prev) / (m_cur - m_prev)
-            lo, hi = sorted((0.4 * v_cur, 2.5 * v_cur))
-            v_next = min(max(v_next, lo), hi)
-        v_prev, m_prev, v_cur = v_cur, m_cur, v_next
-    if not abs(state.multiplier - target) <= tol:
-        info["stop"] = (f"missed curvature target {target:.6g}: multiplier "
-                        f"{state.multiplier:.6g} after inner stop "
-                        f"{info['stop']!r}")
-    return mesh, info
 
 
 def _config_for(mode: str, config: SolveConfig | None,
@@ -919,25 +881,27 @@ def _config_for(mode: str, config: SolveConfig | None,
 
 def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
            target_curvature: float | None) -> tuple[TriMesh, SolveReport]:
-    """The path every solve takes once its arguments are checked: a fixed
-    volume runs the flow once, and so does a pinned curvature target, on
-    A - 2 H V; a free boundary's curvature target runs the volume tuner
-    around the flow."""
+    """The path every solve takes once its arguments are checked: one flow.
+
+    A pinned curvature target flows on A - 2 H V.  On a free boundary the
+    volume is held, ``target_volume`` or the init's own when None, and a
+    curvature target there only judges the final multiplier: a miss by more
+    than ``MULTIPLIER_TOL_FACTOR`` replaces the stop with a message naming
+    it, which does not converge."""
     state = init_flow_state(init, config, volume_target=target_volume)
     if target_curvature is not None and state.operator is None:
         state.pressure = float(target_curvature)
     with (contextlib.nullcontext() if config.diagnostics_path is None
           else open(config.diagnostics_path, "w")) as sink:
-        if target_curvature is None or state.pressure is not None:
-            mesh, info = _run_flow(init, config, state, sink)
-        else:
-            mesh, info = _tune_volume(init, config, state, target_curvature,
-                                      sink)
-    # only the height-law mode reads the law constant: the target when one
-    # is set, else the multiplier the flow ended on
-    mu_for_law = (state.multiplier if target_curvature is None
-                  else target_curvature)
-    return mesh, _final_report(mesh, state, info, mu_for_law)
+        mesh, info = _run_flow(init, config, state, sink)
+    if target_curvature is not None and state.operator is not None:
+        tol = MULTIPLIER_TOL_FACTOR * (abs(target_curvature)
+                                       + _h_scale(state, mesh))
+        if not abs(state.multiplier - target_curvature) <= tol:
+            info["stop"] = (f"missed curvature target {target_curvature:.6g}: "
+                            f"multiplier {state.multiplier:.6g} at stop "
+                            f"{info['stop']!r}")
+    return mesh, _final_report(mesh, state, info)
 
 
 # --------------------------------------------------------------------------
@@ -994,9 +958,8 @@ def _exterior_drop_at(rho: float, theta: float, gamma: float):
                              rho * math.sin(theta) / s)
 
 
-def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
-                            n_angular: int = 96):
-    """Analytic cap with the requested volume or mean curvature.
+def _cap_drop(sphere: Sphere, params: CapillaryParams):
+    """The closed-form cap drop with the requested volume or mean curvature.
 
     A volume target bisects the contact polar angle theta.  A curvature
     target H inverts R = 1/|H| for theta, with k = R/rho: theta = atan2(k sin
@@ -1026,22 +989,26 @@ def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
                     hi = mid
             except DegenerateConfigurationError:
                 lo = mid
-        drop = drop_at(0.5 * (lo + hi))
+        return drop_at(0.5 * (lo + hi))
+    h = params.target_curvature
+    if h == 0.0 or (h < 0.0 and params.side == "exterior"):
+        raise DegenerateConfigurationError(
+            f"no {params.side} cap drop has mean curvature {h:g}")
+    k_sin = math.sin(gamma) / (abs(h) * rho)
+    k_cos = math.cos(gamma) / (abs(h) * rho)
+    if params.side == "exterior":
+        theta = math.atan2(k_sin, 1.0 - k_cos)
+    elif h > 0.0:
+        theta = math.atan2(k_sin, 1.0 + k_cos)
     else:
-        h = params.target_curvature
-        if h == 0.0 or (h < 0.0 and params.side == "exterior"):
-            raise DegenerateConfigurationError(
-                f"no {params.side} cap drop has mean curvature {h:g}")
-        k_sin = math.sin(gamma) / (abs(h) * rho)
-        k_cos = math.cos(gamma) / (abs(h) * rho)
-        if params.side == "exterior":
-            theta = math.atan2(k_sin, 1.0 - k_cos)
-        elif h > 0.0:
-            theta = math.atan2(k_sin, 1.0 + k_cos)
-        else:
-            theta = math.atan2(k_sin, k_cos - 1.0)
-        drop = drop_at(theta)
-    return drop.free_surface_mesh(n_angular)
+        theta = math.atan2(k_sin, k_cos - 1.0)
+    return drop_at(theta)
+
+
+def _default_capillary_init(sphere: Sphere, params: CapillaryParams,
+                            n_angular: int = 96) -> TriMesh:
+    """``_cap_drop`` meshed with ``n_angular`` samples on its contact loop."""
+    return _cap_drop(sphere, params).free_surface_mesh(n_angular)
 
 
 def solve_capillary(sphere: Sphere, params: CapillaryParams,
@@ -1051,15 +1018,21 @@ def solve_capillary(sphere: Sphere, params: CapillaryParams,
     """Fixed-volume drop on a sphere; the contact angle emerges from the
     minimization rather than being enforced.
 
-    The boundary slides tangentially on the substrate.  With
-    ``target_curvature`` set, the volume is tuned until the equilibrium
-    multiplier (= mean curvature) matches.
+    The boundary slides tangentially on the substrate.  A
+    ``target_curvature`` H with the contact angle fixes one cap, the stable
+    capillary surface, so the solve holds that cap's volume: the default
+    init is the cap meshed and keeps its own volume, a caller's init is
+    moved to the closed-form one.  The report's multiplier (= mean
+    curvature) is then judged against H.
     """
     _require_origin_centered(sphere)
     config = _config_for("capillary", config, sphere, params)
+    volume = params.target_volume
     if init is None:
         init = _default_capillary_init(sphere, params)
-    return _solve(init, config, params.target_volume, params.target_curvature)
+    elif volume is None:
+        volume = _cap_drop(sphere, params).volume
+    return _solve(init, config, volume, params.target_curvature)
 
 
 def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
@@ -1068,11 +1041,10 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
                                       ) -> tuple[TriMesh, SolveReport]:
     """Equilibrium under the height-linear curvature law H = kappa z + mu.
 
-    Requires kappa > 0 and the initial boundary strictly inside the upper
-    open hemisphere of the substrate.  With ``target_curvature`` set it is
-    the law constant mu and the volume is tuned until the equilibrium
-    multiplier matches it; with ``target_volume`` the constant emerges and
-    is reported as the multiplier.
+    Requires kappa > 0, a ``target_volume`` and the initial boundary
+    strictly inside the upper open hemisphere of the substrate.  The law
+    constant mu emerges and is reported as the multiplier; a
+    ``target_curvature`` is rejected, since mu fixes no closed-form volume.
     """
     if params.kappa <= 0.0:
         raise ValueError("prescribed height-curvature mode requires kappa > 0")
@@ -1084,4 +1056,4 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
     if not (bz > 1e-12 * sphere.radius).all():
         raise ValueError("the boundary must lie in the upper open hemisphere "
                          "of the substrate")
-    return _solve(init, config, params.target_volume, params.target_curvature)
+    return _solve(init, config, params.target_volume, None)

@@ -101,6 +101,25 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_every_private_definition_is_used_in_the_package():
+    # a private function or class that only tests reach is left over from a
+    # deleted caller
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert sorted(defined - used) == []
+
+
 # scipy parts that no solve uses: ODE integration and root finding serve
 # only delaunay's profiles, the k-d tree only distance queries
 DEFERRED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial")

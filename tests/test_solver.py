@@ -9,9 +9,9 @@ from capdrop import solver
 from capdrop.analytic import (CapillaryParams, contact_angle,
                               interior_drop_cap, spherical_caps_for_circle)
 from capdrop.curvature import jet_mean_curvature
-from capdrop.errors import (MeshDegeneracyError, SelfIntersectingPatchError,
-                            SideViolationError, SolverError,
-                            StepCollapseError)
+from capdrop.errors import (GeometryError, MeshDegeneracyError,
+                            SelfIntersectingPatchError, SideViolationError,
+                            SolverError, StepCollapseError)
 from capdrop.geometry import Sphere
 from capdrop.remesh import mean_edge_length
 from capdrop.shapes import flat_disk, perturb_normal
@@ -148,10 +148,6 @@ def _volume_never_met(mesh, state, *args, **kwargs):
     return mesh, False
 
 
-def _volume_met(mesh, state, *args, **kwargs):
-    return mesh, True
-
-
 def test_line_search_without_a_restored_trial_collapses(monkeypatch, rng):
     # the flat disk is critical; a bumped one is not, so the step searches
     disk = perturb_normal(flat_disk(1.0, n_angular=16, n_rings=4), 0.05, rng)
@@ -185,31 +181,6 @@ def test_restore_keeps_free_boundary_on_sphere(unit_sphere):
     b = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
     assert report.iterations == 3
-
-
-@pytest.mark.parametrize("dm_dv", [0.0, 0.01])
-def test_volume_tuner_below_zero_moves_toward_zero(monkeypatch, dm_dv):
-    # the multiplier stays below the target and rises with the volume (or
-    # not at all): the tuner must raise a negative volume, which shrinks its
-    # magnitude; both the first x1.06 round and the clamp of the secant once
-    # grew it, by 2.5 a round
-    targets = []
-
-    def flow(mesh, config, state, sink=None, iteration_budget=None):
-        targets.append(state.volume_target)
-        state.multiplier = -0.05 + dm_dv * state.volume_target
-        return mesh, {"stop": "gradient", "steps": 1, "grad_norm": 0.0}
-
-    monkeypatch.setattr(solver, "_run_flow", flow)
-    monkeypatch.setattr(solver, "_restore_volume", _volume_met)
-    disk = flat_disk(1.0, n_angular=16, n_rings=4)
-    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=100)
-    state = solver.init_flow_state(disk, cfg, volume_target=-1e-3)
-    _, info = solver._tune_volume(disk, cfg, state, 2.0 / 3.0, None)
-    assert "missed curvature target" in info["stop"]
-    assert len(targets) == 24
-    assert all(v < 0.0 for v in targets)
-    assert all(abs(b) < abs(a) for a, b in zip(targets, targets[1:]))
 
 
 def _unit_disk():
@@ -275,18 +246,6 @@ def test_pinned_curvature_target_with_no_small_cap_runs_away():
     assert report.final_energy * 1.2 ** 2 > 4.0 * math.pi
 
 
-def test_pinned_curvature_target_never_tunes_the_volume(monkeypatch):
-    def tune(*args, **kwargs):
-        raise AssertionError("a pinned curvature target ran the volume tuner")
-
-    monkeypatch.setattr(solver, "_tune_volume", tune)
-    disk = flat_disk(1.0, n_angular=24, n_rings=4)
-    boundary = disk.vertices[disk.boundary_vertex_mask]
-    _, report = solver.solve_dirichlet_cmc(boundary, disk,
-                                           target_mean_curvature=0.5)
-    assert report.converged
-
-
 def test_a_collapsed_step_has_its_own_stop(monkeypatch):
     # a collapse once reported "stalled", the name of the energy plateau;
     # it may still converge, here on the critical flat disk
@@ -299,24 +258,6 @@ def test_a_collapsed_step_has_its_own_stop(monkeypatch):
     _, report = solver.solve_dirichlet_cmc(boundary, disk,
                                            target_mean_curvature=0.0)
     assert (report.message, report.converged) == ("collapsed", True)
-
-
-@pytest.mark.parametrize("stop", ["measured", "stalled", "collapsed",
-                                  "gradient"])
-def test_volume_tuner_keeps_the_inner_stop(monkeypatch, stop):
-    # a target reached on a converged inner stop was once reported as
-    # "gradient", whatever that flow stopped on
-    def flow(mesh, config, state, sink=None, iteration_budget=None):
-        state.multiplier = 2.0 / 3.0
-        return mesh, {"stop": stop, "steps": 3, "grad_norm": 1.0}
-
-    monkeypatch.setattr(solver, "_run_flow", flow)
-    monkeypatch.setattr(solver, "_restore_volume", _volume_met)
-    disk = flat_disk(1.0, n_angular=16, n_rings=4)
-    cfg = solver.SolveConfig(mode="dirichlet_cmc")
-    state = solver.init_flow_state(disk, cfg, volume_target=0.5)
-    _, info = solver._tune_volume(disk, cfg, state, 2.0 / 3.0, None)
-    assert info["stop"] == stop
 
 
 def _sagged_disk(depth):
@@ -339,6 +280,73 @@ def test_pinned_curvature_target_is_reached_from_the_other_side_of_zero():
     assert report.converged
     assert report.volume > 0.0
     assert report.multiplier == pytest.approx(2.0 / 3.0, rel=1e-2)
+
+
+def _theta55_target(gamma_deg):
+    """The drop of contact angle ``gamma_deg`` at contact polar angle 55 deg,
+    and a curvature target at its H."""
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(gamma_deg))
+    return drop, CapillaryParams(gamma=drop.gamma,
+                                 target_curvature=drop.mean_curvature_toward_drop)
+
+
+def test_free_curvature_target_holds_the_closed_form_cap_volume(monkeypatch,
+                                                                unit_sphere):
+    # H and gamma fix one stable cap: a caller's init at another volume (the
+    # theta = 45 deg drop) is moved to that cap's volume and flows once
+    runs = []
+    run = solver._run_flow
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_run_flow", counting_run)
+    drop, params = _theta55_target(40.0)
+    init = interior_drop_cap(1.0, math.radians(45.0),
+                             drop.gamma).free_surface_mesh(64)
+    _, report = solver.solve_capillary(unit_sphere, params, init)
+    assert len(runs) == 1
+    assert (report.message, report.converged) == ("measured", True)
+    assert report.iterations <= 100
+    assert report.volume == pytest.approx(drop.volume, rel=1e-10)
+
+
+def test_default_init_curvature_target_keeps_its_own_volume(unit_sphere):
+    # the default init is the cap of H meshed, so the solve holds the mesh's
+    # volume, which misses the closed form's by its discretization
+    drop, params = _theta55_target(70.0)
+    init = solver._default_capillary_init(unit_sphere, params)
+    own = (init.divergence_volume()
+           + make_wetting_operator(init, unit_sphere).volume_term(init.vertices))
+    assert own != pytest.approx(drop.volume, rel=1e-6)
+    _, report = solver.solve_capillary(unit_sphere, params)
+    assert report.converged
+    assert report.volume == pytest.approx(own, rel=1e-10)
+
+
+def test_missed_free_curvature_target_is_not_converged(unit_sphere):
+    # this flow passes its measured stop at step 50, but the multiplier of
+    # the 64-sample init's cap, 0.3148, misses H = 0.31596 by more than
+    # MULTIPLIER_TOL_FACTOR allows
+    drop, params = _theta55_target(70.0)
+    init = interior_drop_cap(1.0, math.radians(45.0),
+                             drop.gamma).free_surface_mesh(64)
+    _, report = solver.solve_capillary(unit_sphere, params, init)
+    assert not report.converged
+    assert "missed curvature target" in report.message
+    assert "'measured'" in report.message
+
+
+def test_height_law_rejects_a_curvature_target(unit_sphere):
+    # the law constant mu fixes no closed-form volume to hold
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
+                             target_curvature=0.05)
+    with pytest.raises(ValueError, match="needs target_volume"):
+        solver.SolveConfig(mode="prescribed_height_curvature", params=params,
+                           substrate=unit_sphere)
+    with pytest.raises(ValueError, match="needs target_volume"):
+        solver.solve_prescribed_height_curvature(unit_sphere, params)
 
 
 def test_solve_config_rejects_bad_counts():
@@ -692,16 +700,31 @@ def test_height_law_stop_and_report_agree(unit_sphere):
     assert report.iterations < 120
 
 
-def test_remesh_with_unwettable_boundary_is_rejected(unit_sphere):
-    # a remesh of this solve leaves boundary loops whose closure would
-    # self-intersect; the rebuild of the wetting operator once raised
-    # SelfIntersectingPatchError out of the solve
-    _, init = _small_drop()
-    params = CapillaryParams(gamma=math.radians(70.0), target_curvature=0.4)
+def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
+                                                     unit_sphere):
+    # remeshes of this coarse drop leave boundary loops the wetting operator
+    # cannot be built on (here WettingCalibrationError, from step 60 on); a
+    # failed rebuild once raised out of the solve
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
+    init = drop.free_surface_mesh(12)
+    rejected = []
+    build = solver.make_wetting_operator
+
+    def counting_build(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except GeometryError as err:
+            rejected.append(err)
+            raise
+
+    monkeypatch.setattr(solver, "make_wetting_operator", counting_build)
+    params = CapillaryParams(gamma=math.radians(70.0),
+                             target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=120,
+                             substrate=unit_sphere, max_iterations=80,
                              remesh_every=10)
     mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert rejected
     assert isinstance(report, solver.SolveReport)
     b = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
