@@ -26,7 +26,9 @@ the area needs anyway) and the volume gradient, which leave through one
 scatter.  The wetting operator's circulations run once per position too.
 The values are kept with the mesh of that position, tagged with the flow
 state, so each is computed at most once; the per-face arrays are not kept.
-The Sobolev preconditioner M + alpha L is symmetric positive definite and
+The multiplier and residual norm of a position come from its own gradients
+(``_residual``), so the step, the stop check and the report agree.  The
+Sobolev preconditioner M + alpha L is symmetric positive definite and
 is factored with a symmetric ordering and diagonal pivots.
 
 Three modes share the engine.  ``dirichlet_cmc`` pins the boundary polyline
@@ -42,10 +44,11 @@ gamma fix one cap and its volume in closed form, and the final multiplier
 is judged against H.  Past ``init_flow_state`` the flow reads the problem
 from its state alone (see ``FlowState``).
 
-``SolveConfig`` holds what a caller may set.  Step sizes, tolerances and
-the quality floor are the module constants below; the remesher's target
-edge length and the Sobolev length (a quarter of the bounding-box
-diagonal, fixed for the solve) come from the init mesh.
+``SolveConfig`` holds what a caller may set.  Step sizes, tolerances, the
+quality floor and the free boundary's remesh cadence are the module
+constants below; the remesher's target edge length and the Sobolev length
+(a quarter of the bounding-box diagonal, fixed for the solve) come from the
+init mesh.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -92,6 +95,7 @@ H_DEV_FACTOR = 1e-3            # H constancy: factor * (|H| + H scale)
 ANGLE_TOL = math.radians(1.0)
 MULTIPLIER_TOL_FACTOR = 5e-4   # free curvature targets: factor * (|H| + H scale)
 QUALITY_FLOOR = 0.08           # a step below this quality asks for a remesh
+REMESH_EVERY = 25              # free boundaries: remesh and stop-check cadence
 RESTORE_REL_TOL = 1e-12        # volume restore: factor * max(1, |target|)
 RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
 
@@ -101,20 +105,19 @@ class SolveConfig:
     """Knobs of one solve; every field has a sane default except ``mode``.
 
     ``params`` and ``substrate`` are required outside ``dirichlet_cmc``,
-    which rejects them.  ``remesh_every`` is the cadence on which a free
-    boundary remeshes and tries the early "measured" stop; a pinned boundary
-    tries that stop after every step and remeshes only when a face falls
-    under the quality floor.  ``remesh_every = 0`` turns the early stop off
-    in both.  ``diagnostics_path`` gets one JSON line per flow step.  The
-    height law takes a volume target only: its law constant mu fixes no
-    closed-form volume.
+    which rejects them.  A free boundary remeshes and tries the early
+    "measured" stop every ``REMESH_EVERY`` steps; a pinned boundary tries
+    that stop after every step and remeshes only when a face falls under the
+    quality floor.  ``diagnostics_path`` gets one JSON line per flow step.
+    Capillary mode needs kappa = 0 and the height law kappa > 0; the height
+    law takes a volume target only: its law constant mu fixes no closed-form
+    volume.
     """
 
     mode: str
     params: CapillaryParams | None = None
     substrate: Sphere | None = None
     max_iterations: int = 2000
-    remesh_every: int = 25
     diagnostics_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -122,8 +125,6 @@ class SolveConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.remesh_every < 0:
-            raise ValueError("remesh_every must be at least 0")
         if self.mode == "dirichlet_cmc":
             if self.params is not None or self.substrate is not None:
                 raise ValueError("dirichlet_cmc mode takes no params or "
@@ -136,11 +137,14 @@ class SolveConfig:
             raise ValueError(
                 "capillary mode needs kappa = 0; the height law H = "
                 "kappa z + mu is prescribed_height_curvature mode")
-        elif (self.mode == "prescribed_height_curvature"
-              and self.params.target_curvature is not None):
-            raise ValueError(
-                "prescribed_height_curvature mode needs target_volume: the "
-                "law constant mu fixes no closed-form volume")
+        elif self.mode == "prescribed_height_curvature":
+            if self.params.kappa <= 0.0:
+                raise ValueError(
+                    "prescribed_height_curvature mode needs kappa > 0")
+            if self.params.target_curvature is not None:
+                raise ValueError(
+                    "prescribed_height_curvature mode needs target_volume: "
+                    "the law constant mu fixes no closed-form volume")
 
 
 @dataclass
@@ -153,14 +157,16 @@ class SolveReport:
     residual of the law H = kappa z + mu instead of the spread about the
     mean, and for a pinned curvature target it is taken about the target H.
     ``final_energy`` leaves out a pinned target's pressure term (so it is
-    the area), and ``multiplier`` is the measured lambda/2 from the final
-    iterate.  ``message`` names the stop: "measured", "gradient", "stalled"
-    (20 steps without an energy drop) or "collapsed" (no descent step),
-    which converge if the deviation fields passed their tolerances, or
-    "budget" or "runaway" (a pinned target's area passed that of the sphere
-    of curvature H), which do not.  A free-boundary curvature target whose
-    final multiplier is off H by more than ``MULTIPLIER_TOL_FACTOR`` does
-    not converge either, and its message names the miss and the stop.
+    the area).  ``multiplier`` (lambda/2, plus a pinned target's H) and
+    ``grad_norm`` (the projected residual's norm) are those of the returned
+    mesh, as ``flow_step`` would give them there.  ``message`` names the
+    stop: "measured", "gradient", "stalled" (20 steps without an energy
+    drop) or "collapsed" (no descent step), which converge if the deviation
+    fields passed their tolerances, or "budget" or "runaway" (a pinned
+    target's area passed that of the sphere of curvature H), which do not.
+    A free-boundary curvature target whose final multiplier is off H by more
+    than ``MULTIPLIER_TOL_FACTOR`` does not converge either, and its message
+    names the miss and the stop.
     """
 
     converged: bool
@@ -184,7 +190,8 @@ class FlowState:
     boundary is pinned; its ``sphere`` is the substrate and its
     ``side_sign`` the drop's side.  ``kappa`` is nonzero only under the
     height law.  ``pressure`` is the target H of a pinned curvature target:
-    the flow then minimizes A - 2 H V and ``volume_target`` is unused."""
+    the flow then minimizes A - 2 H V and ``volume_target`` is unused.
+    ``iteration`` counts the flow steps; values of a position live on it."""
 
     volume_target: float
     gamma: float
@@ -194,8 +201,6 @@ class FlowState:
     sobolev_alpha: float
     step: float
     iteration: int = 0
-    multiplier: float = math.nan
-    needs_remesh: bool = False
     side_violation_streak: int = 0
     disp_since_remesh: float = math.inf
     pressure: float | None = None
@@ -226,8 +231,7 @@ class _Position:
         self.key = key
         self.area = self.energy = self.volume = self.quality = None
         self.c = self.g = self.wet = self.wet_grad = None
-        # (law constant, _measure's dict) of the last measurement here
-        self.measured = None
+        self.measured = None  # _measure's dict
 
 
 def _at(m: TriMesh, state: FlowState, *, energy: bool = False,
@@ -337,11 +341,6 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
             arr.flags.writeable = False
 
 
-def _energy_volume(m: TriMesh, state: FlowState) -> tuple[float, float]:
-    p = _at(m, state, energy=True, volume=True)
-    return p.energy, p.volume
-
-
 # --------------------------------------------------------------------------
 # constraint plumbing
 
@@ -385,7 +384,8 @@ def _restore_volume(m: TriMesh, state: FlowState,
                     ) -> tuple[TriMesh, bool]:
     """Chord iteration along a fixed field onto the volume constraint;
     returns the corrected mesh and whether the constraint was met to
-    ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves.
+    ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves.  An iterate that
+    does not shrink the volume miss fails the restore: the chord diverges.
 
     A mesh already on target is returned before any direction is derived.
     ``direction`` is the ``(u, slope)`` of ``_restore_direction``: a flow
@@ -407,13 +407,16 @@ def _restore_volume(m: TriMesh, state: FlowState,
     u, slope = _restore_direction(m, state) if direction is None else direction
     if slope <= 0.0:
         return m, False
+    r = state.volume_target - p.volume
     for _ in range(RESTORE_MAX_ITER):
-        r = state.volume_target - p.volume
         m = m.with_vertices(
             _snap_boundary(m.vertices + (r / slope) * u, m, state))
         p = _at(m, state, energy=True, volume=True)
-        if abs(state.volume_target - p.volume) <= tol:
+        miss, r = abs(r), state.volume_target - p.volume
+        if abs(r) <= tol:
             return m, True
+        if not abs(r) < miss:
+            return m, False
     return m, False
 
 
@@ -468,6 +471,22 @@ def _preconditioner(m: TriMesh, state: FlowState):
 # diagnostics helpers
 
 
+def _residual(m: TriMesh, state: FlowState):
+    """The projected KKT residual at ``m`` from the gradients cached there:
+    the projected energy and volume gradients, the multiplier (lambda/2,
+    plus a pinned target's H) and the residual norm, |g_p - lambda c_p|, or
+    |g_p| under a pressure, whose flow has no constraint."""
+    p = _at(m, state, c=True, g=True)
+    g_proj = _project_rows(p.g, m, state)
+    c_proj = _project_rows(p.c, m, state)
+    cc = float((c_proj * c_proj).sum())
+    lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
+    h = state.pressure
+    grad_norm = float(np.linalg.norm(g_proj if h is not None
+                                     else g_proj - lam * c_proj))
+    return g_proj, c_proj, 0.5 * lam + (h or 0.0), grad_norm
+
+
 def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
                           interior: np.ndarray):
     """Variational curvature estimate from the assembled gradients.
@@ -513,40 +532,34 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     Everything the step reads is in ``state``: the boundary is pinned when
     ``state.operator`` is None and slides on ``state.operator.sphere``
     otherwise.  The dict holds ``iteration``, ``gradNorm`` and
-    ``multiplier`` at the start position and ``energy``, ``volume``,
-    ``step``, ``displacement`` and ``sideViolations`` of the accepted one
-    (``step`` 0 when the step did not move).  The diagnostics file adds the
-    report's spreads ``maxHdev`` and ``maxAngleDev`` at the start position
-    (see ``_write_diag``).
+    ``multiplier`` at the start position (``_residual``'s) and ``energy``,
+    ``volume``, ``step``, ``displacement`` and ``sideViolations`` of the
+    accepted one (``step`` 0 when the step did not move).  The diagnostics
+    file adds the report's spreads ``maxHdev`` and ``maxAngleDev`` at the
+    start position (see ``_write_diag``).
 
     One preconditioner solve gives the descent direction and the field
     along which every trial of the line search is restored to the volume.
     A critical point is a fixed point: when the projected gradient norm is
-    already below the stopping threshold the mesh is returned unchanged.
-    Raises StepCollapseError when backtracking cannot find descent away
-    from a critical point.
+    already below the stopping threshold the mesh itself is returned.
+    Either way ``state.iteration`` counts the step.  Raises
+    StepCollapseError when backtracking cannot find descent away from a
+    critical point.
     """
     x0 = mesh.vertices
     p = _at(mesh, state, energy=True, volume=True, c=True, g=True)
-    area, e0, v0, g, c = p.area, p.energy, p.volume, p.g, p.c
-    g_proj = _project_rows(g, mesh, state)
-    c_proj = _project_rows(c, mesh, state)
-    cc = float((c_proj * c_proj).sum())
-    lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
-    h = state.pressure  # a pressure flow's whole residual is its gradient
-    grad_norm = float(np.linalg.norm(g_proj if h is not None
-                                     else g_proj - lam * c_proj))
-    state.multiplier = 0.5 * lam + (h or 0.0)
+    area, e0, v0, g = p.area, p.energy, p.volume, p.g
+    g_proj, c_proj, multiplier, grad_norm = _residual(mesh, state)
 
     diag = {"iteration": state.iteration, "energy": e0, "volume": v0,
-            "multiplier": state.multiplier, "gradNorm": grad_norm,
+            "multiplier": multiplier, "gradNorm": grad_norm,
             "step": 0.0, "displacement": 0.0, "sideViolations": 0}
     if grad_norm <= GRAD_TOL_FACTOR * area:
         state.iteration += 1
         return mesh, diag
 
     lu = _preconditioner(mesh, state)
-    if h is not None:
+    if state.pressure is not None:
         # no constraint: nothing is projected out and no trial is restored
         d, restore = -lu.solve(g_proj), None
     else:
@@ -576,22 +589,18 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
         # ringing at the edge of stability; a periodic half step damps
         # them hard at negligible cost to the slow directions
         t = min(t, 0.5 * state.step)
-    accepted = None
     while t >= MIN_STEP:
         x = _snap_boundary(x0 + t * d, mesh, state)
         m, ok = _restore_volume(mesh.with_vertices(x), state, restore)
-        if ok:
-            e_t, v_t = _energy_volume(m, state)
-            if e_t <= e0 + 1e-4 * t * slope:
-                accepted = (m, e_t, v_t, t)
-                break
+        if ok and _at(m, state, energy=True).energy <= e0 + 1e-4 * t * slope:
+            break
         t *= BACKTRACK_FACTOR
-    if accepted is None:
+    else:
         raise StepCollapseError(
             f"line search failed below step {MIN_STEP:g} "
             f"(grad norm {grad_norm:.3e})")
 
-    m, e_t, v_t, t = accepted
+    e_t = _at(m, state, energy=True).energy
     # when the realized decrease is curvature-limited, the step is riding
     # the stability boundary of the stiffest mode and plain backtracking
     # lets that mode ring; one quadratic interpolation lands near the
@@ -602,10 +611,8 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
         x_ref = _snap_boundary(x0 + t_ref * d, mesh, state)
         m_ref, ok = _restore_volume(mesh.with_vertices(x_ref), state,
                                     restore)
-        if ok:
-            e_ref, v_ref = _energy_volume(m_ref, state)
-            if e_ref < e_t:
-                m, e_t, v_t, t = m_ref, e_ref, v_ref, t_ref
+        if ok and _at(m_ref, state, energy=True).energy < e_t:
+            m, t = m_ref, t_ref
     state.step = t
     state.iteration += 1
 
@@ -622,17 +629,14 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
             x = x.copy()
             x[idx] = sub.center + centered * (1.0 - side_sign * 1e-9)
             m, _ = _restore_volume(mesh.with_vertices(x), state, restore)
-            e_t, v_t = _energy_volume(m, state)
         state.side_violation_streak = (state.side_violation_streak + 1
                                        if violations else 0)
-
-    if _at(m, state, energy=True).quality < QUALITY_FLOOR:
-        state.needs_remesh = True
 
     disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
     state._precond_stale += disp
     state.disp_since_remesh += disp
-    diag.update(step=t, displacement=disp, energy=e_t, volume=v_t,
+    p = _at(m, state, energy=True, volume=True)
+    diag.update(step=t, displacement=disp, energy=p.energy, volume=p.volume,
                 sideViolations=violations)
     return m, diag
 
@@ -641,58 +645,52 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
 # the shared engine
 
 
-def _do_remesh(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, FlowState]:
+def _do_remesh(mesh: TriMesh, state: FlowState) -> TriMesh:
+    """Remesh, rewet and restore the volume.  A remesh whose boundary loops
+    cannot be wetted or whose restore fails is rejected: the old mesh,
+    operator and factor are kept.  Either way the displacement is counted
+    afresh, so a rejected remesh is not retried every step."""
     op = state.operator
     new, _ = _remesh_with_stats(
         mesh, state.target_edge, preserve_boundary_edges=op is None,
         boundary_sphere=None if op is None else op.sphere)
     if new is mesh:
-        state.needs_remesh = False
-        return mesh, state
+        return mesh
+    kept = (op, state._precond, state._precond_stale)
+    state.disp_since_remesh = 0.0
     if op is not None:
         try:
             state.operator = make_wetting_operator(new, op.sphere, side=op.side)
         except GeometryError:
-            # the new boundary loops cannot be wetted (for example their
-            # closure would self-intersect): keep the old mesh, operator
-            # and factor, and count the displacement afresh so the remesh
-            # is not retried every step
-            state.needs_remesh = False
-            state.disp_since_remesh = 0.0
-            return mesh, state
-    # evaluate the restore's first position before the old factor is
-    # dropped, so the new faces' gradient scatter is built while that factor
-    # still holds its memory: where long-lived arrays land between
-    # factorizations moves the peak memory of a 16k-vertex solve under glibc
-    # malloc (by up to 25% in earlier measurements)
+            return mesh
+    # the restore's first volume and its gradient, in one face pass
     _at(new, state, volume=True, c=True)
     # the two resets do different jobs: the first keeps the old faces' factor
-    # from serving the new faces (a remesh can keep the vertex count) and
-    # frees it before the restore factors anew; the second drops the
-    # restore's factor, taken before the correction moved the mesh, so the
-    # next step refactors at the restored positions
+    # from serving the new faces (a remesh can keep the vertex count); the
+    # second drops the restore's factor, taken before the correction moved
+    # the mesh, so the next step refactors at the restored positions
     state._precond = None
     state._precond_stale = math.inf
-    new, _ = _restore_volume(new, state)
-    state.needs_remesh = False
-    state.disp_since_remesh = 0.0
+    new, ok = _restore_volume(new, state)
+    if not ok:
+        state.operator, state._precond, state._precond_stale = kept
+        return mesh
     state._precond = None
     state._precond_stale = math.inf
-    return new, state
+    return new
 
 
 def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
     """One JSON line per step; a non-finite or missing value is null.
 
     The line adds to ``flow_step``'s fields the report's spreads at
-    ``mesh``, the step's start position, measured about the step's
-    multiplier: ``maxHdev`` (the law residual under the height law) and
-    ``maxAngleDev`` (null on a pinned boundary).  Nothing computes them
-    without a sink.
+    ``mesh``, the step's start position: ``maxHdev`` (the law residual
+    under the height law) and ``maxAngleDev`` (null on a pinned boundary).
+    Nothing computes them without a sink.
     """
     if sink is None:
         return
-    m = _measure(mesh, state, state.multiplier)
+    m = _measure(mesh, state)
     diag = dict(diag, maxHdev=m["h_dev"], maxAngleDev=m["angle_dev"])
     diag = {k: (None if isinstance(v, float) and not math.isfinite(v)
                 else v) for k, v in diag.items()}
@@ -701,8 +699,8 @@ def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
 
 
 def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
-              sink=None) -> tuple[TriMesh, dict]:
-    """Drive flow_step to convergence; returns the mesh and a stop record."""
+              sink=None) -> tuple[TriMesh, str]:
+    """Drive flow_step to a stop; returns the mesh and the stop's name."""
     budget = config.max_iterations
     x = _snap_boundary(mesh.vertices.copy(), mesh, state)
     mesh, ok = _restore_volume(mesh.with_vertices(x), state)
@@ -712,37 +710,37 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     # the entry correction can move vertices a long way
     state._precond_stale = math.inf
     area = _at(mesh, state, energy=True).area
-    grad_norm = math.inf
     stop = "budget"
-    steps = 0
     prev_e = None
     recent: list = []
     pinned = state.operator is None
-    every = config.remesh_every
     while True:
-        cadence = every > 0 and steps > 0 and steps % every == 0
-        # a free contact line drifts at fixed connectivity, so a free solve
-        # also remeshes on the cadence (on a pinned one that only raised the
-        # pointwise H error).  A remesh waits until the mesh has moved a fifth
-        # of an edge since the last (or a rejected) one, so a rejected remesh
-        # is not retried every step; at the budget's end no remesh runs
-        if (steps < budget and (state.needs_remesh or (cadence and not pinned))
+        cadence = state.iteration > 0 and state.iteration % REMESH_EVERY == 0
+        # a face of the accepted position under the quality floor asks for
+        # a remesh; a free contact line drifts at fixed connectivity, so a
+        # free solve also remeshes on the cadence (on a pinned one that only
+        # raised the pointwise H error).  A remesh waits until the mesh has
+        # moved a fifth of an edge since the last (or a rejected) one; at
+        # the budget's end no remesh runs
+        poor = (state.iteration > 0
+                and _at(mesh, state, energy=True).quality < QUALITY_FLOOR)
+        if (state.iteration < budget and (poor or (cadence and not pinned))
                 and state.disp_since_remesh > 0.2 * state.target_edge):
-            mesh, state = _do_remesh(mesh, state)
+            mesh = _do_remesh(mesh, state)
             area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
-        elif ((pinned and every > 0 and steps > 0)
-              or (cadence and steps >= 2 * every)):
+        elif ((pinned and state.iteration > 0)
+              or (cadence and state.iteration >= 2 * REMESH_EVERY)):
             # see if the measured physics already passes before grinding out
             # the last tangential modes.  A pinned solve tries after every
             # step: the check reads the gradients the next step computes
             # here anyway.  A free one tries on the cadence, once one
             # cadence remesh has settled
-            if _measure(mesh, state, state.multiplier)["pass"]:
+            if _measure(mesh, state)["pass"]:
                 stop = "measured"
                 break
-        if steps >= budget:
+        if state.iteration >= budget:
             break
         start = mesh
         try:
@@ -750,15 +748,13 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         except StepCollapseError:
             stop = "collapsed"
             break
-        steps += 1
-        grad_norm = diag["gradNorm"]
         _write_diag(sink, diag, start, state)
         if (prev_e is not None and diag["step"] > 0
                 and diag["energy"] > prev_e + 1e-9 * (abs(prev_e) + 1)):
             raise SolverError(
                 "energy increased across an accepted step; this is a bug")
         prev_e = diag["energy"]
-        if grad_norm <= GRAD_TOL_FACTOR * area:
+        if diag["gradNorm"] <= GRAD_TOL_FACTOR * area:
             stop = "gradient"
             break
         # past the area of the whole sphere of curvature H, 4 pi / H^2, the
@@ -777,7 +773,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             raise SideViolationError(
                 "surface kept crossing the substrate sphere for more than "
                 "50 consecutive steps")
-    return mesh, {"stop": stop, "steps": steps, "grad_norm": grad_norm}
+    return mesh, stop
 
 
 def _h_scale(state: FlowState, mesh: TriMesh) -> float:
@@ -786,7 +782,7 @@ def _h_scale(state: FlowState, mesh: TriMesh) -> float:
     return 2.0 / mesh.bbox_diagonal()
 
 
-def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
+def _measure(mesh: TriMesh, state: FlowState) -> dict:
     """Equilibrium measurement against which the converged flag is judged.
 
     Mean curvature comes from the variational estimator (energy gradient
@@ -795,24 +791,22 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
     its spread measures distance from equilibrium without the 1/h^2 noise
     a stencil-fit estimator picks up from benign discretization wiggle.
     Under the height law (kappa != 0) the estimator already subtracts
-    kappa z, so the deviation is the law residual about the law constant
-    ``mu_for_law`` (the other modes ignore it); h_mean still reports the
-    achieved mean of H itself.  Under a pinned target's pressure the
-    deviation is taken about that H.  The result is kept on the position,
-    so a second call there reads it (callers must not change it).
+    kappa z, so the deviation is the law residual about the position's own
+    multiplier, the law constant mu; h_mean still reports the achieved mean
+    of H itself.  Under a pinned target's pressure the deviation is taken
+    about that H.  The result is kept on the position, so the stop check,
+    the diagnostics line and the report there share it (callers must not
+    change it).
     """
     p = _at(mesh, state, c=True, g=True)
-    # only the height law reads the law constant; the stop check, the
-    # diagnostics line and the report at one position share one measurement
-    law = mu_for_law if state.kappa != 0.0 else None
-    if p.measured is not None and p.measured[0] == law:
-        return p.measured[1]
+    if p.measured is not None:
+        return p.measured
     interior = ~mesh.boundary_vertex_mask
     q, ok = _pointwise_multiplier(p.g, p.c, interior)
     if q.size == 0:
         h_dev = h_mean = math.nan
     elif state.kappa != 0.0:
-        h_dev = float(np.abs(q - mu_for_law).max())
+        h_dev = float(np.abs(q - _residual(mesh, state)[2]).max())
         h_mean = float((q + state.kappa * mesh.vertices[interior, 2][ok]).mean())
     elif state.pressure is not None:
         h_dev = float(np.abs(q).max())
@@ -828,30 +822,10 @@ def _measure(mesh: TriMesh, state: FlowState, mu_for_law: float) -> dict:
         rep = contact_angle(mesh, op.sphere, side=op.side)
         angle_mean, angle_dev = rep.mean, rep.max_deviation
         passed = passed and angle_dev <= ANGLE_TOL
-    result = {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
-              "angle_mean": angle_mean, "angle_dev": angle_dev, "pass": passed}
-    p.measured = (law, result)
-    return result
-
-
-def _final_report(mesh: TriMesh, state: FlowState, info: dict) -> SolveReport:
-    p = _at(mesh, state, energy=True, volume=True)
-    m = _measure(mesh, state, state.multiplier)
-    converged = info["stop"] in ("gradient", "stalled", "collapsed",
-                                 "measured") and m["pass"]
-    return SolveReport(
-        converged=converged,
-        iterations=state.iteration,
-        final_energy=p.area if state.operator is None else p.energy,
-        h_mean=m["h_mean"],
-        h_max_deviation=m["h_dev"],
-        volume=p.volume,
-        multiplier=state.multiplier,
-        contact_angle_mean=m["angle_mean"],
-        contact_angle_max_deviation=m["angle_dev"],
-        grad_norm=info["grad_norm"],
-        message=info["stop"],
-    )
+    p.measured = {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
+                  "angle_mean": angle_mean, "angle_dev": angle_dev,
+                  "pass": passed}
+    return p.measured
 
 
 def _config_for(mode: str, config: SolveConfig | None,
@@ -893,15 +867,30 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
         state.pressure = float(target_curvature)
     with (contextlib.nullcontext() if config.diagnostics_path is None
           else open(config.diagnostics_path, "w")) as sink:
-        mesh, info = _run_flow(init, config, state, sink)
+        mesh, stop = _run_flow(init, config, state, sink)
+    p = _at(mesh, state, energy=True, volume=True)
+    m = _measure(mesh, state)
+    _, _, mu, grad_norm = _residual(mesh, state)
     if target_curvature is not None and state.operator is not None:
         tol = MULTIPLIER_TOL_FACTOR * (abs(target_curvature)
                                        + _h_scale(state, mesh))
-        if not abs(state.multiplier - target_curvature) <= tol:
-            info["stop"] = (f"missed curvature target {target_curvature:.6g}: "
-                            f"multiplier {state.multiplier:.6g} at stop "
-                            f"{info['stop']!r}")
-    return mesh, _final_report(mesh, state, info)
+        if not abs(mu - target_curvature) <= tol:
+            stop = (f"missed curvature target {target_curvature:.6g}: "
+                    f"multiplier {mu:.6g} at stop {stop!r}")
+    return mesh, SolveReport(
+        converged=stop in ("gradient", "stalled", "collapsed", "measured")
+        and m["pass"],
+        iterations=state.iteration,
+        final_energy=p.area if state.operator is None else p.energy,
+        h_mean=m["h_mean"],
+        h_max_deviation=m["h_dev"],
+        volume=p.volume,
+        multiplier=mu,
+        contact_angle_mean=m["angle_mean"],
+        contact_angle_max_deviation=m["angle_dev"],
+        grad_norm=grad_norm,
+        message=stop,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1046,8 +1035,6 @@ def solve_prescribed_height_curvature(sphere: Sphere, params: CapillaryParams,
     constant mu emerges and is reported as the multiplier; a
     ``target_curvature`` is rejected, since mu fixes no closed-form volume.
     """
-    if params.kappa <= 0.0:
-        raise ValueError("prescribed height-curvature mode requires kappa > 0")
     _require_origin_centered(sphere)
     config = _config_for("prescribed_height_curvature", config, sphere, params)
     if init is None:

@@ -99,28 +99,28 @@ def _pole_rotation(pole: np.ndarray) -> np.ndarray | None:
     return rotation_between(pole, np.array([0.0, 0.0, 1.0]))
 
 
-def _circulation(loop_pts: np.ndarray, rho: float, field, rot: np.ndarray | None):
-    """2-point Gauss circulation of a field over a closed polygon."""
+def _chord_nodes(loop_pts: np.ndarray, rot: np.ndarray | None):
+    """Each chord of a closed polygon, in the frame ``rot`` takes it to:
+    its start, its end and its two Gauss nodes."""
     a = loop_pts
     b = _next(loop_pts)
     if rot is not None:
         a = a @ rot.T
         b = b @ rot.T
-    q1, q2 = _gauss_points(a, b)
-    e = b - a
+    return (a, b) + _gauss_points(a, b)
+
+
+def _circulation(loop_pts: np.ndarray, rho: float, field, rot: np.ndarray | None):
+    """2-point Gauss circulation of a field over a closed polygon."""
+    a, b, q1, q2 = _chord_nodes(loop_pts, rot)
     vals = 0.5 * (field(q1, rho) + field(q2, rho))
-    return float(np.sum(vals * e))
+    return float(np.sum(vals * (b - a)))
 
 
 def _circulation_gradient(loop_pts: np.ndarray, rho: float, field, field_jac,
                           rot: np.ndarray | None) -> np.ndarray:
     """Gradient of the circulation with respect to each loop vertex."""
-    a = loop_pts
-    b = _next(loop_pts)
-    if rot is not None:
-        a = a @ rot.T
-        b = b @ rot.T
-    q1, q2 = _gauss_points(a, b)
+    a, b, q1, q2 = _chord_nodes(loop_pts, rot)
     e = b - a
     g1, g2 = field(q1, rho), field(q2, rho)
     j1, j2 = field_jac(q1, rho), field_jac(q2, rho)
@@ -190,31 +190,26 @@ class WettingOperator:
                 vertices[l], rho, _area_field, _area_field_jac, rot)
         return grad
 
-    def z_cubed_flux(self, vertices: np.ndarray) -> float:
-        """Integral of z^3 over the patch (orientation-corrected)."""
-        rho = self.sphere.radius
-        return -self.side_sign * sum(
-            _circulation(vertices[l], rho, _z3_field, None) for l in self.loops)
-
-    def z_cubed_flux_gradient(self, vertices: np.ndarray) -> np.ndarray:
-        rho = self.sphere.radius
-        grad = np.zeros_like(vertices)
-        for l in self.loops:
-            grad[l] -= self.side_sign * _circulation_gradient(
-                vertices[l], rho, _z3_field, _z3_field_jac, None)
-        return grad
-
     # -- contributions of the patch to the functionals of W -------------------
 
     def volume_term(self, vertices: np.ndarray) -> float:
         return self.side_sign * self.sphere.radius / 3.0 * self.area(vertices)
 
     def z_moment_term(self, vertices: np.ndarray) -> float:
-        return self.side_sign / (2.0 * self.sphere.radius) * self.z_cubed_flux(vertices)
+        """The patch's part of the z-moment of W: its z^3 flux over 2 rho.
+        The flux is taken with the orientation -side_sign, so the side sign
+        cancels."""
+        rho = self.sphere.radius
+        return -1.0 / (2.0 * rho) * sum(
+            _circulation(vertices[l], rho, _z3_field, None) for l in self.loops)
 
     def z_moment_term_gradient(self, vertices: np.ndarray) -> np.ndarray:
-        return self.side_sign / (2.0 * self.sphere.radius) * \
-            self.z_cubed_flux_gradient(vertices)
+        rho = self.sphere.radius
+        grad = np.zeros_like(vertices)
+        for l in self.loops:
+            grad[l] = _circulation_gradient(vertices[l], rho, _z3_field,
+                                            _z3_field_jac, None)
+        return -1.0 / (2.0 * rho) * grad
 
 
 def _loop_axis(pts: np.ndarray) -> np.ndarray:

@@ -108,18 +108,27 @@ def test_solve_height_curvature_rejects_off_centre_substrate(monkeypatch):
         solver.solve_prescribed_height_curvature(OFF_CENTRE, params)
 
 
+def _measure_passes(monkeypatch, passed):
+    """Make every measurement pass, or fail so that no solve stops
+    "measured"."""
+    measure = solver._measure
+    monkeypatch.setattr(solver, "_measure", lambda mesh, state: {
+        **measure(mesh, state), "pass": passed})
+
+
 def test_rising_energy_raises_solver_error(monkeypatch):
     energies = iter(range(10))
 
     def rising_step(mesh, state):
+        state.iteration += 1
         return mesh, {"step": 1.0, "energy": float(next(energies)),
                       "gradNorm": math.inf}
 
     monkeypatch.setattr(solver, "flow_step", rising_step)
+    _measure_passes(monkeypatch, False)
     disk = flat_disk(1.0, n_angular=16, n_rings=4)
     boundary = disk.vertices[disk.boundary_vertex_mask]
-    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=5,
-                             remesh_every=0)
+    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=5)
     with pytest.raises(SolverError, match="energy increased"):
         solver.solve_dirichlet_cmc(boundary, disk, cfg, target_volume=0.1)
 
@@ -129,17 +138,18 @@ def test_crossing_the_substrate_raises_side_violation(monkeypatch,
     energies = iter(range(0, -100, -1))
 
     def crossing_step(mesh, state):
+        state.iteration += 1
         state.side_violation_streak += 1
         return mesh, {"step": 1.0, "energy": float(next(energies)),
                       "gradNorm": math.inf}
 
     monkeypatch.setattr(solver, "flow_step", crossing_step)
+    _measure_passes(monkeypatch, False)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=math.radians(70.0),
                              target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=60,
-                             remesh_every=0)
+                             substrate=unit_sphere, max_iterations=60)
     with pytest.raises(SideViolationError, match="50 consecutive steps"):
         solver.solve_capillary(unit_sphere, params, init, cfg)
 
@@ -156,6 +166,18 @@ def test_line_search_without_a_restored_trial_collapses(monkeypatch, rng):
     monkeypatch.setattr(solver, "_restore_volume", _volume_never_met)
     with pytest.raises(StepCollapseError, match="line search failed"):
         solver.flow_step(disk, state)
+
+
+def test_a_critical_point_is_a_fixed_point(monkeypatch, rng):
+    # under the stopping threshold the step returns its own mesh, unmoved,
+    # and still counts itself
+    monkeypatch.setattr(solver, "GRAD_TOL_FACTOR", 1e3)
+    disk = perturb_normal(flat_disk(1.0, n_angular=16, n_rings=4), 0.05, rng)
+    state = solver.init_flow_state(disk, solver.SolveConfig(mode="dirichlet_cmc"))
+    state.iteration = 7
+    out, diag = solver.flow_step(disk, state)
+    assert out is disk
+    assert (diag["step"], diag["iteration"], state.iteration) == (0.0, 7, 8)
 
 
 def test_unreachable_entry_volume_is_a_degenerate_mesh(monkeypatch):
@@ -175,8 +197,7 @@ def test_restore_keeps_free_boundary_on_sphere(unit_sphere):
                                      target_volume=0.3))
     params = CapillaryParams(gamma=math.radians(20.0), target_volume=0.3)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=3,
-                             remesh_every=0)
+                             substrate=unit_sphere, max_iterations=3)
     mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
     b = mesh.vertices[mesh.boundary_vertex_mask]
     assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
@@ -258,6 +279,27 @@ def test_a_collapsed_step_has_its_own_stop(monkeypatch):
     _, report = solver.solve_dirichlet_cmc(boundary, disk,
                                            target_mean_curvature=0.0)
     assert (report.message, report.converged) == ("collapsed", True)
+
+
+@pytest.mark.parametrize("passed", [True, False])
+@pytest.mark.parametrize("stop, steps, grad_norm",
+                         [("gradient", 1, 0.0), ("stalled", 21, math.inf)])
+def test_gradient_and_stalled_stops_converge_on_the_measurement(
+        monkeypatch, unit_sphere, stop, steps, grad_norm, passed):
+    # a step whose start residual is under the threshold stops "gradient";
+    # 20 steps without an energy drop stop "stalled"; either converges
+    # exactly when the final mesh's measurement passes
+    def flat_step(mesh, state):
+        state.iteration += 1
+        return mesh, {"step": 1.0, "energy": 0.0, "gradNorm": grad_norm}
+
+    monkeypatch.setattr(solver, "flow_step", flat_step)
+    _measure_passes(monkeypatch, passed)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    _, report = solver.solve_capillary(unit_sphere, params, init)
+    assert (report.message, report.converged) == (stop, passed)
+    assert report.iterations == steps
 
 
 def _sagged_disk(depth):
@@ -349,12 +391,20 @@ def test_height_law_rejects_a_curvature_target(unit_sphere):
         solver.solve_prescribed_height_curvature(unit_sphere, params)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -0.5])
+def test_height_law_needs_a_positive_kappa(unit_sphere, kappa):
+    params = CapillaryParams(gamma=math.radians(70.0), kappa=kappa,
+                             target_volume=0.3)
+    with pytest.raises(ValueError, match="needs kappa > 0"):
+        solver.SolveConfig(mode="prescribed_height_curvature", params=params,
+                           substrate=unit_sphere)
+    with pytest.raises(ValueError, match="needs kappa > 0"):
+        solver.solve_prescribed_height_curvature(unit_sphere, params)
+
+
 def test_solve_config_rejects_bad_counts():
     with pytest.raises(ValueError, match="max_iterations"):
         solver.SolveConfig(mode="dirichlet_cmc", max_iterations=0)
-    with pytest.raises(ValueError, match="remesh_every"):
-        solver.SolveConfig(mode="dirichlet_cmc", remesh_every=-1)
-    assert solver.SolveConfig(mode="dirichlet_cmc", remesh_every=0).remesh_every == 0
 
 
 def test_solve_config_rejects_free_boundary_fields_when_pinned():
@@ -433,7 +483,7 @@ def test_dirichlet_entry_point(tmp_path):
     boundary = disk.vertices[disk.boundary_vertex_mask]
     path = tmp_path / "dirichlet.jsonl"
     cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=40,
-                             remesh_every=10, diagnostics_path=str(path))
+                             diagnostics_path=str(path))
     mesh, report = solver.solve_dirichlet_cmc(boundary, disk, cfg,
                                               target_volume=0.3)
     assert mesh.divergence_volume() == pytest.approx(0.3, rel=1e-10)
@@ -520,17 +570,17 @@ def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
     h = -jet_mean_curvature(mesh)[~mesh.boundary_vertex_mask]
     assert np.quantile(np.abs(h - cap.mean_curvature), 0.9) <= 0.02
 
-    # a free contact line keeps the cadence: without it this solve does
-    # not remesh at all
+    # a free contact line keeps the cadence: with a cadence longer than
+    # its budget this solve does not remesh at all
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
-    for every in (10, 0):
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=40)
+    for every, remeshes in ((10, True), (41, False)):
         calls.clear()
-        cfg = solver.SolveConfig(mode="capillary", params=params,
-                                 substrate=unit_sphere, max_iterations=40,
-                                 remesh_every=every)
+        monkeypatch.setattr(solver, "REMESH_EVERY", every)
         solver.solve_capillary(unit_sphere, params, init, cfg)
-        assert bool(calls) == (every > 0)
+        assert bool(calls) == remeshes
 
 
 def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
@@ -549,9 +599,9 @@ def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
 
     stopped, r_stopped, n_stopped = solve(None)
     assert r_stopped.message == "measured" and r_stopped.converged
+    _measure_passes(monkeypatch, False)
     ran, r_ran, n_ran = solve(solver.SolveConfig(
-        mode="dirichlet_cmc", remesh_every=0,
-        max_iterations=r_stopped.iterations))
+        mode="dirichlet_cmc", max_iterations=r_stopped.iterations))
     assert r_ran.message == "budget"
     assert n_ran == n_stopped
     assert np.array_equal(ran.vertices, stopped.vertices)
@@ -560,9 +610,10 @@ def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
 def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
                                                           unit_sphere):
     # a free solve tries the measured stop on cadence steps from
-    # 2 * remesh_every on, and not on a step that remeshed; this one runs
+    # 2 * REMESH_EVERY on, and not on a step that remeshed; this one runs
     # to its budget, remeshing on the cadence and on the quality trigger
-    tries = _counted(monkeypatch, "_measure", lambda m, state, mu:
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
+    tries = _counted(monkeypatch, "_measure", lambda m, state:
                      state.iteration)
     remeshes = _counted(monkeypatch, "_do_remesh", lambda m, state:
                         state.iteration)
@@ -570,8 +621,7 @@ def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
     params = CapillaryParams(gamma=math.radians(80.0),
                              target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=120,
-                             remesh_every=10)
+                             substrate=unit_sphere, max_iterations=120)
     _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
     assert report.message == "budget"
     assert any(step % 10 for step in remeshes)
@@ -584,12 +634,12 @@ def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
 def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
     # the stop check and the report once measured the final mesh apart, and
     # so ran contact_angle on it twice
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     meshes = _counted(monkeypatch, "contact_angle", lambda m, *a: m)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=120,
-                             remesh_every=10)
+                             substrate=unit_sphere, max_iterations=120)
     mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
     assert report.message == "measured" and report.converged
     assert sum(m is mesh for m in meshes) == 1
@@ -597,7 +647,8 @@ def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
 
 @pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
                          ids=[mode for mode, _ in FREE_BOUNDARY_SOLVERS])
-def test_free_boundary_entry_points(tmp_path, mode, solve):
+def test_free_boundary_entry_points(monkeypatch, tmp_path, mode, solve):
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     sphere = Sphere((0.0, 0.0, 0.0), 1.3)
     drop = interior_drop_cap(sphere.radius, math.radians(55.0),
                              math.radians(70.0))
@@ -607,8 +658,7 @@ def test_free_boundary_entry_points(tmp_path, mode, solve):
                              target_volume=drop.volume)
     path = tmp_path / f"{mode}.jsonl"
     cfg = solver.SolveConfig(mode=mode, params=params, substrate=sphere,
-                             max_iterations=40, remesh_every=10,
-                             diagnostics_path=str(path))
+                             max_iterations=40, diagnostics_path=str(path))
     mesh, report = solve(sphere, params, init, cfg)
     assert _mesh_volume(mesh, sphere) == pytest.approx(drop.volume, rel=1e-10)
     b = mesh.vertices[mesh.boundary_vertex_mask]
@@ -649,9 +699,11 @@ def _same_result(a, b):
             and repr(a[1]) == repr(b[1]))
 
 
-def test_init_mesh_values_are_not_shared_between_solves(unit_sphere):
+def test_init_mesh_values_are_not_shared_between_solves(monkeypatch,
+                                                        unit_sphere):
     # the flow caches its values on every mesh it evaluates, the caller's
     # init included; a second solve with another gamma must not read them
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
     init = drop.free_surface_mesh(16)
 
@@ -660,7 +712,7 @@ def test_init_mesh_values_are_not_shared_between_solves(unit_sphere):
                                  target_volume=drop.volume)
         return params, solver.SolveConfig(mode="capillary", params=params,
                                           substrate=unit_sphere,
-                                          max_iterations=20, remesh_every=10)
+                                          max_iterations=20)
 
     def step(mesh, gamma_deg):
         _, cfg = config(gamma_deg)
@@ -683,16 +735,17 @@ def _small_drop():
     return drop, drop.free_surface_mesh(24)
 
 
-def test_height_law_stop_and_report_agree(unit_sphere):
+def test_height_law_stop_and_report_agree(monkeypatch, unit_sphere):
     # the early "measured" stop once judged the law about the mean of the
     # pointwise ratio and the report about the multiplier: this solve
     # stopped at step 20 and reported converged=False
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
                              target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="prescribed_height_curvature",
                              params=params, substrate=unit_sphere,
-                             max_iterations=120, remesh_every=10)
+                             max_iterations=120)
     _, report = solver.solve_prescribed_height_curvature(unit_sphere, params,
                                                          init, cfg)
     assert report.message == "measured"
@@ -705,6 +758,7 @@ def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
     # remeshes of this coarse drop leave boundary loops the wetting operator
     # cannot be built on (here WettingCalibrationError, from step 60 on); a
     # failed rebuild once raised out of the solve
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
     init = drop.free_surface_mesh(12)
     rejected = []
@@ -721,8 +775,7 @@ def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
     params = CapillaryParams(gamma=math.radians(70.0),
                              target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=80,
-                             remesh_every=10)
+                             substrate=unit_sphere, max_iterations=80)
     mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
     assert rejected
     assert isinstance(report, solver.SolveReport)
@@ -730,7 +783,10 @@ def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
     assert np.abs(np.linalg.norm(b, axis=1) - 1.0).max() <= 1e-12
 
 
-def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
+def _rejected_remesh(monkeypatch, unit_sphere, stub_name, stub):
+    """Run one remesh cycle of the small drop, one step in, with
+    ``solver.stub_name`` replaced by ``stub``, and check that the old mesh,
+    operator and factor come back."""
     drop, init = _small_drop()
     params = CapillaryParams(gamma=math.radians(70.0),
                              target_volume=drop.volume)
@@ -740,23 +796,50 @@ def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
     mesh, _ = solver.flow_step(init, state)
     kept = (state.operator, state._precond)
     assert kept[1] is not None
+    monkeypatch.setattr(solver, stub_name, stub)
+    # a cycle at half the edge length is sure to edit the mesh
+    state.target_edge *= 0.5
+    assert solver._do_remesh(mesh, state) is mesh
+    assert all(now is then for now, then in
+               zip((state.operator, state._precond), kept))
+    assert state.disp_since_remesh == 0.0
 
+
+def test_failed_wetting_rebuild_keeps_the_old_mesh(monkeypatch, unit_sphere):
     rebuilds = []
 
     def unwettable(*args, **kwargs):
         rebuilds.append(args)
         raise SelfIntersectingPatchError("loop azimuths are not monotone")
 
-    monkeypatch.setattr(solver, "make_wetting_operator", unwettable)
-    # a cycle at half the edge length is sure to edit the mesh
-    state.target_edge *= 0.5
-    state.needs_remesh = True
-    out, state = solver._do_remesh(mesh, state)
+    _rejected_remesh(monkeypatch, unit_sphere, "make_wetting_operator",
+                     unwettable)
     assert len(rebuilds) == 1
-    assert out is mesh
-    assert all(now is then for now, then in
-               zip((state.operator, state._precond), kept))
-    assert not state.needs_remesh and state.disp_since_remesh == 0.0
+
+
+def test_failed_remesh_restore_keeps_the_old_mesh(monkeypatch, unit_sphere):
+    # a remesh whose volume restore failed was once kept, off its target
+    restores = []
+
+    def never_met(mesh, state, *args):
+        restores.append(mesh)
+        return _volume_never_met(mesh, state)
+
+    _rejected_remesh(monkeypatch, unit_sphere, "_restore_volume", never_met)
+    assert len(restores) == 1
+
+
+def test_a_diverging_remesh_restore_is_a_named_error(unit_sphere):
+    # twice the volume of this coarse drop: after the step-25 remesh the
+    # restore's chord iterates grew until they overflowed (RuntimeWarning),
+    # and on a 10-step cadence splu's "Factor is exactly singular" escaped
+    drop = interior_drop_cap(1.0, math.radians(80.0), math.radians(110.0))
+    params = CapillaryParams(gamma=drop.gamma, target_volume=2 * drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=120)
+    with pytest.raises(SolverError):
+        solver.solve_capillary(unit_sphere, params,
+                               drop.free_surface_mesh(12), cfg)
 
 
 class _CountingLU:
@@ -845,7 +928,7 @@ def test_diagnostics_carry_the_reports_spreads(tmp_path, unit_sphere):
     def solve(steps, path=None):
         cfg = solver.SolveConfig(mode="capillary", params=params,
                                  substrate=unit_sphere, max_iterations=steps,
-                                 remesh_every=0, diagnostics_path=path)
+                                 diagnostics_path=path)
         return solver.solve_capillary(unit_sphere, params, init.copy(), cfg)
 
     _, report = solve(3)
@@ -857,6 +940,7 @@ def test_diagnostics_carry_the_reports_spreads(tmp_path, unit_sphere):
 
 
 def test_height_law_diagnostics_give_the_law_residual(unit_sphere):
+    # the residual is taken about the position's own law constant mu
     drop, mesh = _small_drop()
     params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
                              target_volume=drop.volume)
@@ -864,13 +948,46 @@ def test_height_law_diagnostics_give_the_law_residual(unit_sphere):
         mode="prescribed_height_curvature", params=params,
         substrate=unit_sphere))
     _, diag = solver.flow_step(mesh, state)
-    # a measurement about another law constant, as the stop check takes at
-    # a step's start position before the step updates the multiplier
-    solver._measure(mesh, state, state.multiplier + 1.0)
     sink = io.StringIO()
     solver._write_diag(sink, diag, mesh, state)
     line = json.loads(sink.getvalue())
     p = solver._at(mesh, state, c=True, g=True)
     q, _ = solver._pointwise_multiplier(p.g, p.c, ~mesh.boundary_vertex_mask)
-    assert line["maxHdev"] == float(np.abs(q - state.multiplier).max())
+    assert line["maxHdev"] == float(np.abs(q - diag["multiplier"]).max())
     assert line["maxHdev"] != float(np.abs(q - q.mean()).max())
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_report_describes_the_returned_mesh(monkeypatch, rng, unit_sphere,
+                                            mode):
+    # the multiplier and residual norm were once those of the last step's
+    # start position, one step before the mesh the solve returns
+    states = []
+    init_state = solver.init_flow_state
+
+    def kept_state(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(solver, "init_flow_state", kept_state)
+    if mode == "dirichlet_cmc":
+        disk = flat_disk(1.0, n_angular=16, n_rings=4)
+        init = perturb_normal(disk, 0.05, rng, keep_boundary=True)
+        mesh, report = solver.solve_dirichlet_cmc(
+            disk.vertices[disk.boundary_vertex_mask], init,
+            solver.SolveConfig(mode=mode, max_iterations=3),
+            target_volume=0.3)
+    else:
+        drop, init = _small_drop()
+        params = CapillaryParams(gamma=math.radians(60.0),
+                                 kappa=0.5 if mode != "capillary" else 0.0,
+                                 target_volume=drop.volume)
+        cfg = solver.SolveConfig(mode=mode, params=params,
+                                 substrate=unit_sphere, max_iterations=3)
+        solve = (solver.solve_capillary if mode == "capillary"
+                 else solver.solve_prescribed_height_curvature)
+        mesh, report = solve(unit_sphere, params, init, cfg)
+    assert report.message == "budget"
+    _, diag = solver.flow_step(mesh, states[0])
+    assert (report.multiplier, report.grad_norm) == (diag["multiplier"],
+                                                     diag["gradNorm"])

@@ -242,10 +242,10 @@ def test_area_gradient_fd(bulge, rng):
     assert w < 5e-7
 
 
-def test_z_cubed_gradient_fd(bulge, rng):
+def test_z_moment_term_gradient_fd(bulge, rng):
     drop, mesh, op = bulge
-    w = fd_directional(mesh, lambda: op.z_cubed_flux(mesh.vertices),
-                       lambda: op.z_cubed_flux_gradient(mesh.vertices), rng)
+    w = fd_directional(mesh, lambda: op.z_moment_term(mesh.vertices),
+                       lambda: op.z_moment_term_gradient(mesh.vertices), rng)
     assert w < 5e-7
 
 
