@@ -75,8 +75,9 @@ class StepCollapseError(SolverError):
 
 
 class MeshDegeneracyError(SolverError):
-    """Element quality fell below the floor and remeshing could not recover it."""
+    """The initial surface could not be moved to its target volume."""
 
 
 class SideViolationError(SolverError):
-    """The surface crossed to the wrong side of the substrate sphere and re-projection failed."""
+    """The initial surface meets its target volume only with an interior
+    vertex past the substrate sphere, on the side away from the drop."""

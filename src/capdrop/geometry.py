@@ -76,18 +76,33 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rotation_from_axis_angle(axis, float(np.arctan2(s, c)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sphere:
-    """Round sphere given by center and radius."""
+    """Round sphere given by center and radius.
+
+    The center is a read-only copy of the caller's array, so spheres compare
+    and hash by value: equal radii and equal centers (-0.0 equals 0.0).
+    """
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
+        center = np.array(self.center, dtype=float).reshape(3)
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0.0:
             raise ValueError("sphere radius must be positive")
+
+    def __eq__(self, other):
+        if not isinstance(other, Sphere):
+            return NotImplemented
+        return (self.radius == other.radius
+                and np.array_equal(self.center, other.center))
+
+    def __hash__(self):
+        return hash((self.radius, *self.center.tolist()))
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the sphere surface, negative inside the ball."""

@@ -8,11 +8,11 @@ operation that would break the link condition, flip a face, or drop quality
 below a floor is skipped, and if the edited mesh fails validation the
 original mesh is returned unchanged.
 
-Boundary handling has two modes.  With ``preserve_boundary_edges=True`` the
-boundary polyline is left untouched (pinned boundaries).  Otherwise boundary
-edges may be split and collapsed like any others; when ``boundary_sphere``
-is given, boundary vertices created or moved by the cycle are projected back
-onto that sphere so a free boundary stays on its substrate.
+Boundary handling has two modes.  With no ``boundary_sphere`` the boundary
+polyline is left untouched (pinned boundaries).  With one, boundary edges
+may be split and collapsed like any others, and boundary vertices created or
+moved by the cycle are projected back onto that sphere, so a free boundary
+slides on its substrate.
 
 The cycle is deterministic: the same mesh and arguments give the same
 output, bit for bit.  Each pass visits edges in a fixed order (lengths
@@ -168,8 +168,7 @@ def _edge_lengths(em: _EditMesh, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(V[edges[:, 0]] - V[edges[:, 1]], axis=1)
 
 
-def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
-                sphere) -> int:
+def _split_pass(em: _EditMesh, high: float, sphere) -> int:
     edges = em.undirected_edges()
     lengths = _edge_lengths(em, edges)
     order = np.argsort(lengths)[::-1]
@@ -184,10 +183,10 @@ def _split_pass(em: _EditMesh, high: float, preserve_boundary: bool,
         if not fids or any(fi in dirty for fi in fids):
             continue
         on_boundary = len(fids) == 1
-        if on_boundary and preserve_boundary:
+        if on_boundary and sphere is None:
             continue
         mid = _mid(em.v[u], em.v[w])
-        if on_boundary and sphere is not None:
+        if on_boundary:
             mid = _project(sphere, mid)
         m = em.add_vertex(mid)
         if on_boundary:
@@ -242,7 +241,7 @@ def _collapse_ok(em: _EditMesh, u: int, w: int, pos: tuple,
 
 
 def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
-                   preserve_boundary: bool, sphere) -> int:
+                   sphere) -> int:
     edges = em.undirected_edges()
     lengths = _edge_lengths(em, edges)
     order = np.argsort(lengths)
@@ -259,7 +258,7 @@ def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
         if not fids:
             continue
         ub, wb = u in em.boundary, w in em.boundary
-        if preserve_boundary and (ub or wb):
+        if sphere is None and (ub or wb):
             continue
         if ub and wb and len(fids) != 1:
             continue  # interior chord between boundary vertices: would pinch
@@ -268,9 +267,7 @@ def _collapse_pass(em: _EditMesh, low: float, high: float, floor: float,
             u, w = w, u
             ub, wb = wb, ub
         if ub and wb:
-            pos = _mid(em.v[u], em.v[w])
-            if sphere is not None:
-                pos = _project(sphere, pos)
+            pos = _project(sphere, _mid(em.v[u], em.v[w]))
         elif ub:
             pos = em.v[u]
         else:
@@ -345,7 +342,7 @@ def _flip_pass(em: _EditMesh, floor: float) -> int:
     return n_flipped
 
 
-def _smooth(mesh: TriMesh, preserve_boundary: bool, sphere) -> np.ndarray:
+def _smooth(mesh: TriMesh, sphere) -> np.ndarray:
     v = mesh.vertices
     adj = mesh.vertex_adjacency
     deg = np.asarray(adj.sum(axis=1)).ravel()
@@ -355,11 +352,9 @@ def _smooth(mesh: TriMesh, preserve_boundary: bool, sphere) -> np.ndarray:
     d -= n * (d * n).sum(1)[:, None]
     new = v + SMOOTHING_WEIGHT * d
     bmask = mesh.boundary_vertex_mask
-    if preserve_boundary or sphere is None:
-        new[bmask] = v[bmask]
-    else:
+    new[bmask] = v[bmask]
+    if sphere is not None:
         # relax boundary vertices toward their loop neighbors, then re-project
-        new[bmask] = v[bmask]
         for loop in mesh.boundary_loops():
             pts = v[loop]
             mid = 0.5 * (np.roll(pts, 1, axis=0) + np.roll(pts, -1, axis=0))
@@ -369,27 +364,24 @@ def _smooth(mesh: TriMesh, preserve_boundary: bool, sphere) -> np.ndarray:
 
 
 def remesh(mesh: TriMesh, target_edge_length: float, *,
-           preserve_boundary_edges: bool = False,
            boundary_sphere=None) -> TriMesh:
     """One split / collapse / flip / smooth cycle toward the target length.
 
     No edit leaves a face below ``EDIT_QUALITY_FLOOR``, and one smoothing
     pass moves each vertex ``SMOOTHING_WEIGHT`` of the way to the tangential
-    centroid of its neighbours.
+    centroid of its neighbours.  The boundary is pinned without
+    ``boundary_sphere`` and slides on it with one.
 
     Returns a new validated mesh, or the input mesh unchanged if the edited
     triangulation fails validation (every individual edit is guarded, so
     this is rare and always safe).
     """
-    out, _ = _remesh_with_stats(
-        mesh, target_edge_length,
-        preserve_boundary_edges=preserve_boundary_edges,
-        boundary_sphere=boundary_sphere)
+    out, _ = _remesh_with_stats(mesh, target_edge_length,
+                                boundary_sphere=boundary_sphere)
     return out
 
 
 def _remesh_with_stats(mesh: TriMesh, target_edge_length: float, *,
-                       preserve_boundary_edges: bool = False,
                        boundary_sphere=None) -> tuple[TriMesh, int]:
     """remesh() plus the number of topological edits actually performed."""
     if target_edge_length <= 0:
@@ -397,13 +389,11 @@ def _remesh_with_stats(mesh: TriMesh, target_edge_length: float, *,
     high = 4.0 / 3.0 * target_edge_length
     low = 0.8 * target_edge_length
     em = _EditMesh(mesh)
-    ops = _split_pass(em, high, preserve_boundary_edges, boundary_sphere)
-    ops += _collapse_pass(em, low, high, EDIT_QUALITY_FLOOR,
-                          preserve_boundary_edges, boundary_sphere)
+    ops = _split_pass(em, high, boundary_sphere)
+    ops += _collapse_pass(em, low, high, EDIT_QUALITY_FLOOR, boundary_sphere)
     ops += _flip_pass(em, EDIT_QUALITY_FLOOR)
     try:
         out = em.compact()
     except MeshError:
         return mesh, 0
-    return out.with_vertices(
-        _smooth(out, preserve_boundary_edges, boundary_sphere)), ops
+    return out.with_vertices(_smooth(out, boundary_sphere)), ops

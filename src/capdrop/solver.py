@@ -13,9 +13,12 @@ backtracking line search enforces descent, and the volume is restored
 after every trial by a chord iteration along the step's own preconditioned
 volume gradient, so the constraint drifts only at round-off.  One linear
 solve per step gives both the descent direction and that field; each
-restore iterate needs only its volume.  A pinned boundary with a curvature
-target H minimizes A - 2 H V with neither projection nor restore: below
-the hemisphere the small cap is a strict local minimum of it.
+restore iterate needs only its volume.  A restore succeeds only at a
+feasible position, with the volume met and no interior vertex past the
+substrate; that one test gates every trial, remesh and the flow's entry.
+A pinned boundary with a curvature target H minimizes A - 2 H V with
+neither projection nor restore: below the hemisphere the small cap is a
+strict local minimum of it.
 
 Every position the flow visits is evaluated by one face pass
 (``_face_pass``): the face corners are gathered once, and their cross
@@ -46,9 +49,9 @@ from its state alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set.  Step sizes, tolerances, the
 quality floor and the free boundary's remesh cadence are the module
-constants below; the remesher's target edge length and the Sobolev length
-(a quarter of the bounding-box diagonal, fixed for the solve) come from the
-init mesh.
+constants below; the remesher's edge length, the Sobolev length (a quarter
+of the bounding-box diagonal) and the H tolerance scale come from the init
+mesh and are fixed for the solve.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -160,7 +163,8 @@ class SolveReport:
     the area).  ``multiplier`` (lambda/2, plus a pinned target's H) and
     ``grad_norm`` (the projected residual's norm) are those of the returned
     mesh, as ``flow_step`` would give them there.  ``message`` names the
-    stop: "measured", "gradient", "stalled" (20 steps without an energy
+    stop: "measured", "gradient" (a step found the residual under its
+    threshold and did not move), "stalled" (20 steps without an energy
     drop) or "collapsed" (no descent step), which converge if the deviation
     fields passed their tolerances, or "budget" or "runaway" (a pinned
     target's area passed that of the sphere of curvature H), which do not.
@@ -191,6 +195,8 @@ class FlowState:
     ``side_sign`` the drop's side.  ``kappa`` is nonzero only under the
     height law.  ``pressure`` is the target H of a pinned curvature target:
     the flow then minimizes A - 2 H V and ``volume_target`` is unused.
+    ``h_scale`` is the curvature scale of the H tolerances: 1 / R on a free
+    boundary, 2 / (the init's bounding-box diagonal) on a pinned one.
     ``iteration`` counts the flow steps; values of a position live on it."""
 
     volume_target: float
@@ -199,9 +205,9 @@ class FlowState:
     operator: WettingOperator | None
     target_edge: float
     sobolev_alpha: float
+    h_scale: float
     step: float
     iteration: int = 0
-    side_violation_streak: int = 0
     disp_since_remesh: float = math.inf
     pressure: float | None = None
     _precond: object = None
@@ -379,12 +385,29 @@ def _restore_direction(m: TriMesh, state: FlowState, pc: np.ndarray | None = Non
     return u, float((c * u).sum())
 
 
+def _volume_met(m: TriMesh, state: FlowState) -> bool:
+    target = state.volume_target
+    return (abs(target - _at(m, state, volume=True).volume)
+            <= RESTORE_REL_TOL * max(1.0, abs(target)))
+
+
+def _crosses(m: TriMesh, state: FlowState) -> bool:
+    """Whether an interior vertex of ``m`` lies more than 1e-7 R past the
+    substrate, on the side away from the drop."""
+    op = state.operator
+    if op is None:
+        return False
+    d = op.sphere.signed_distance(m.vertices[~m.boundary_vertex_mask])
+    return bool((d * op.side_sign > 1e-7 * op.sphere.radius).any())
+
+
 def _restore_volume(m: TriMesh, state: FlowState,
                     direction: tuple[np.ndarray, float] | None = None
                     ) -> tuple[TriMesh, bool]:
     """Chord iteration along a fixed field onto the volume constraint;
-    returns the corrected mesh and whether the constraint was met to
-    ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves.  An iterate that
+    returns the corrected mesh and whether it is feasible: the constraint
+    met to ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves, and no
+    interior vertex past the substrate (``_crosses``).  An iterate that
     does not shrink the volume miss fails the restore: the chord diverges.
 
     A mesh already on target is returned before any direction is derived.
@@ -398,26 +421,20 @@ def _restore_volume(m: TriMesh, state: FlowState,
     A free boundary moves along tangents of the substrate, which leave it
     at second order, so every iterate is snapped back onto it.  A pressure
     flow has no volume constraint, and every mesh is returned as it is."""
-    if state.pressure is not None:
-        return m, True
-    tol = RESTORE_REL_TOL * max(1.0, abs(state.volume_target))
-    p = _at(m, state, volume=True)
-    if abs(state.volume_target - p.volume) <= tol:
-        return m, True
+    if state.pressure is not None or _volume_met(m, state):
+        return m, not _crosses(m, state)
     u, slope = _restore_direction(m, state) if direction is None else direction
     if slope <= 0.0:
         return m, False
-    r = state.volume_target - p.volume
+    r = state.volume_target - _at(m, state).volume
     for _ in range(RESTORE_MAX_ITER):
         m = m.with_vertices(
             _snap_boundary(m.vertices + (r / slope) * u, m, state))
         p = _at(m, state, energy=True, volume=True)
         miss, r = abs(r), state.volume_target - p.volume
-        if abs(r) <= tol:
-            return m, True
-        if not abs(r) < miss:
-            return m, False
-    return m, False
+        if _volume_met(m, state) or not abs(r) < miss:
+            break
+    return m, _volume_met(m, state) and not _crosses(m, state)
 
 
 def _snap_boundary(x: np.ndarray, conn: TriMesh, state: FlowState) -> np.ndarray:
@@ -509,15 +526,18 @@ def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
 def init_flow_state(mesh: TriMesh, config: SolveConfig,
                     volume_target: float | None = None) -> FlowState:
     """Bind a flow state to a mesh: the wetting operator of a free boundary,
-    the remesher's edge length and the Sobolev length."""
+    the remesher's edge length, the Sobolev length and the H scale."""
     operator, gamma, kappa = None, math.pi / 2.0, 0.0
+    diagonal = mesh.bbox_diagonal()
+    h_scale = 2.0 / diagonal
     if config.mode != "dirichlet_cmc":
         p = config.params
         gamma, kappa = p.gamma, p.kappa
         operator = make_wetting_operator(mesh, config.substrate, side=p.side)
+        h_scale = 1.0 / operator.sphere.radius
     state = FlowState(volume_target=0.0, gamma=gamma, kappa=kappa,
                       operator=operator, target_edge=mean_edge_length(mesh),
-                      sobolev_alpha=(0.25 * mesh.bbox_diagonal()) ** 2,
+                      sobolev_alpha=(0.25 * diagonal) ** 2, h_scale=h_scale,
                       step=INITIAL_STEP)
     if volume_target is None:
         volume_target = _at(mesh, state, volume=True).volume
@@ -533,18 +553,18 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     ``state.operator`` is None and slides on ``state.operator.sphere``
     otherwise.  The dict holds ``iteration``, ``gradNorm`` and
     ``multiplier`` at the start position (``_residual``'s) and ``energy``,
-    ``volume``, ``step``, ``displacement`` and ``sideViolations`` of the
-    accepted one (``step`` 0 when the step did not move).  The diagnostics
-    file adds the report's spreads ``maxHdev`` and ``maxAngleDev`` at the
-    start position (see ``_write_diag``).
+    ``volume``, ``step`` and ``displacement`` of the accepted one.  The
+    diagnostics file adds the report's spreads ``maxHdev`` and
+    ``maxAngleDev`` at the start position (see ``_write_diag``).
 
     One preconditioner solve gives the descent direction and the field
-    along which every trial of the line search is restored to the volume.
+    along which every trial of the line search is restored to the volume;
+    a trial counts only if its restore is feasible (``_restore_volume``).
     A critical point is a fixed point: when the projected gradient norm is
-    already below the stopping threshold the mesh itself is returned.
-    Either way ``state.iteration`` counts the step.  Raises
-    StepCollapseError when backtracking cannot find descent away from a
-    critical point.
+    under ``GRAD_TOL_FACTOR`` times the area, the mesh itself is returned
+    with ``step`` 0, and only then.  Either way ``state.iteration`` counts
+    the step.  Raises StepCollapseError when backtracking cannot find a
+    feasible descent away from a critical point.
     """
     x0 = mesh.vertices
     p = _at(mesh, state, energy=True, volume=True, c=True, g=True)
@@ -553,7 +573,7 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
 
     diag = {"iteration": state.iteration, "energy": e0, "volume": v0,
             "multiplier": multiplier, "gradNorm": grad_norm,
-            "step": 0.0, "displacement": 0.0, "sideViolations": 0}
+            "step": 0.0, "displacement": 0.0}
     if grad_norm <= GRAD_TOL_FACTOR * area:
         state.iteration += 1
         return mesh, diag
@@ -615,29 +635,11 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
             m, t = m_ref, t_ref
     state.step = t
     state.iteration += 1
-
-    violations = 0
-    if state.operator is not None:
-        sub, side_sign = state.operator.sphere, state.operator.side_sign
-        interior = ~mesh.boundary_vertex_mask
-        x = m.vertices
-        bad = sub.signed_distance(x[interior]) * side_sign > 1e-7 * sub.radius
-        violations = int(bad.sum())
-        if violations:
-            idx = np.where(interior)[0][bad]
-            centered = sub.project(x[idx]) - sub.center
-            x = x.copy()
-            x[idx] = sub.center + centered * (1.0 - side_sign * 1e-9)
-            m, _ = _restore_volume(mesh.with_vertices(x), state, restore)
-        state.side_violation_streak = (state.side_violation_streak + 1
-                                       if violations else 0)
-
     disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
     state._precond_stale += disp
     state.disp_since_remesh += disp
     p = _at(m, state, energy=True, volume=True)
-    diag.update(step=t, displacement=disp, energy=p.energy, volume=p.volume,
-                sideViolations=violations)
+    diag.update(step=t, displacement=disp, energy=p.energy, volume=p.volume)
     return m, diag
 
 
@@ -647,12 +649,12 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
 
 def _do_remesh(mesh: TriMesh, state: FlowState) -> TriMesh:
     """Remesh, rewet and restore the volume.  A remesh whose boundary loops
-    cannot be wetted or whose restore fails is rejected: the old mesh,
-    operator and factor are kept.  Either way the displacement is counted
-    afresh, so a rejected remesh is not retried every step."""
+    cannot be wetted or whose restore is infeasible is rejected: the old
+    mesh, operator and factor are kept.  Either way the displacement is
+    counted afresh, so a rejected remesh is not retried every step."""
     op = state.operator
     new, _ = _remesh_with_stats(
-        mesh, state.target_edge, preserve_boundary_edges=op is None,
+        mesh, state.target_edge,
         boundary_sphere=None if op is None else op.sphere)
     if new is mesh:
         return mesh
@@ -704,12 +706,14 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     budget = config.max_iterations
     x = _snap_boundary(mesh.vertices.copy(), mesh, state)
     mesh, ok = _restore_volume(mesh.with_vertices(x), state)
-    if not ok:
+    if not ok and not _volume_met(mesh, state):
         raise MeshDegeneracyError(
             "could not push the initial surface to the target volume")
+    if not ok:
+        raise SideViolationError(
+            "the initial surface at the target volume crosses the substrate")
     # the entry correction can move vertices a long way
     state._precond_stale = math.inf
-    area = _at(mesh, state, energy=True).area
     stop = "budget"
     prev_e = None
     recent: list = []
@@ -727,7 +731,6 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
         if (state.iteration < budget and (poor or (cadence and not pinned))
                 and state.disp_since_remesh > 0.2 * state.target_edge):
             mesh = _do_remesh(mesh, state)
-            area = _at(mesh, state, energy=True).area
             prev_e = None
             recent.clear()
         elif ((pinned and state.iteration > 0)
@@ -749,14 +752,14 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             stop = "collapsed"
             break
         _write_diag(sink, diag, start, state)
-        if (prev_e is not None and diag["step"] > 0
+        if diag["step"] == 0.0:  # flow_step's fixed point
+            stop = "gradient"
+            break
+        if (prev_e is not None
                 and diag["energy"] > prev_e + 1e-9 * (abs(prev_e) + 1)):
             raise SolverError(
                 "energy increased across an accepted step; this is a bug")
         prev_e = diag["energy"]
-        if diag["gradNorm"] <= GRAD_TOL_FACTOR * area:
-            stop = "gradient"
-            break
         # past the area of the whole sphere of curvature H, 4 pi / H^2, the
         # pressure flow has left every cap behind and grows without bound
         if (state.pressure is not None and _at(mesh, state, energy=True).area
@@ -769,17 +772,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
             if recent[0] - recent[-1] <= 1e-13 * (abs(recent[-1]) + 1.0):
                 stop = "stalled"
                 break
-        if state.side_violation_streak > 50:
-            raise SideViolationError(
-                "surface kept crossing the substrate sphere for more than "
-                "50 consecutive steps")
     return mesh, stop
-
-
-def _h_scale(state: FlowState, mesh: TriMesh) -> float:
-    if state.operator is not None:
-        return 1.0 / state.operator.sphere.radius
-    return 2.0 / mesh.bbox_diagonal()
 
 
 def _measure(mesh: TriMesh, state: FlowState) -> dict:
@@ -814,7 +807,7 @@ def _measure(mesh: TriMesh, state: FlowState) -> dict:
     else:
         h_mean = float(q.mean())
         h_dev = float(np.abs(q - h_mean).max())
-    h_tol = H_DEV_FACTOR * (abs(h_mean) + _h_scale(state, mesh))
+    h_tol = H_DEV_FACTOR * (abs(h_mean) + state.h_scale)
     passed = h_dev <= h_tol
     angle_mean = angle_dev = None
     op = state.operator
@@ -845,10 +838,7 @@ def _config_for(mode: str, config: SolveConfig | None,
     if mode != "dirichlet_cmc":
         if config.params != params:
             raise ValueError("config.params differs from the params argument")
-        # not Sphere ==, which raises on the ndarray centres
-        sub = config.substrate
-        if not (sub.radius == sphere.radius
-                and np.array_equal(sub.center, sphere.center)):
+        if config.substrate != sphere:
             raise ValueError("config.substrate differs from the sphere argument")
     return config
 
@@ -872,8 +862,7 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
     m = _measure(mesh, state)
     _, _, mu, grad_norm = _residual(mesh, state)
     if target_curvature is not None and state.operator is not None:
-        tol = MULTIPLIER_TOL_FACTOR * (abs(target_curvature)
-                                       + _h_scale(state, mesh))
+        tol = MULTIPLIER_TOL_FACTOR * (abs(target_curvature) + state.h_scale)
         if not abs(mu - target_curvature) <= tol:
             stop = (f"missed curvature target {target_curvature:.6g}: "
                     f"multiplier {mu:.6g} at stop {stop!r}")

@@ -80,3 +80,20 @@ def test_open_hemisphere_pole_equator_fails():
     th = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     pts = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
     assert open_hemisphere_pole(pts) is None
+
+
+def test_spheres_compare_and_hash_by_value():
+    # equality once compared the centre arrays with ==, whose truth value
+    # raises, and so did hashing and every dataclass holding a sphere
+    center = np.zeros(3)
+    a = Sphere(center, 1.0)
+    center[2] = 5.0
+    assert a == Sphere((0.0, 0.0, -0.0), 1) == Sphere([0, 0, 0], 1.0)
+    assert hash(a) == hash(Sphere((0.0, 0.0, -0.0), 1.0))
+    assert a in [Sphere((0.0, 0.0, 0.0), 1.0)]
+    assert len({a, Sphere((0, 0, 0), 1)}) == 1
+    assert a != Sphere((0.0, 0.0, 0.0), 2.0)
+    assert a != Sphere((0.0, 0.0, 1e-12), 1.0)
+    assert a != (0.0, 0.0, 0.0)
+    # the centre is the sphere's own read-only copy
+    assert not a.center.flags.writeable and center.flags.writeable

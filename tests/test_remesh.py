@@ -35,12 +35,12 @@ def bumpy(drop):
     return perturb_normal(mesh, 0.3 * mean_edge_length(mesh), rng)
 
 
-def edited(mesh, target, sphere=None, preserve=False):
+def edited(mesh, target, sphere=None):
     """An _EditMesh after the split and collapse passes, and their counts."""
     em = _EditMesh(mesh)
-    n_split = _split_pass(em, 4.0 / 3.0 * target, preserve, sphere)
+    n_split = _split_pass(em, 4.0 / 3.0 * target, sphere)
     n_collapse = _collapse_pass(em, 0.8 * target, 4.0 / 3.0 * target, FLOOR,
-                                preserve, sphere)
+                                sphere)
     return em, n_split, n_collapse
 
 
@@ -118,7 +118,7 @@ def test_pinned_boundary_and_volume():
     mesh = perturb_normal(mesh, 0.2 * mean_edge_length(mesh),
                           np.random.default_rng(2))
     target = mean_edge_length(mesh)
-    out, ops = _remesh_with_stats(mesh, target, preserve_boundary_edges=True)
+    out, ops = _remesh_with_stats(mesh, target)
     assert ops > 0
 
     (loop_in,), (loop_out,) = mesh.boundary_loops(), out.boundary_loops()

@@ -133,25 +133,24 @@ def test_rising_energy_raises_solver_error(monkeypatch):
         solver.solve_dirichlet_cmc(boundary, disk, cfg, target_volume=0.1)
 
 
-def test_crossing_the_substrate_raises_side_violation(monkeypatch,
-                                                     unit_sphere):
-    energies = iter(range(0, -100, -1))
-
-    def crossing_step(mesh, state):
-        state.iteration += 1
-        state.side_violation_streak += 1
-        return mesh, {"step": 1.0, "energy": float(next(energies)),
-                      "gradNorm": math.inf}
-
-    monkeypatch.setattr(solver, "flow_step", crossing_step)
-    _measure_passes(monkeypatch, False)
+def test_a_restore_past_the_substrate_is_not_feasible(unit_sphere):
+    # one interior vertex of the small drop pushed out of the ball: the
+    # restore meets the volume, but the position crosses the substrate, so
+    # no line-search trial, remesh or entry may take it
     drop, init = _small_drop()
-    params = CapillaryParams(gamma=math.radians(70.0),
-                             target_volume=drop.volume)
-    cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=60)
-    with pytest.raises(SideViolationError, match="50 consecutive steps"):
-        solver.solve_capillary(unit_sphere, params, init, cfg)
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    state = solver.init_flow_state(init, solver.SolveConfig(
+        mode="capillary", params=params, substrate=unit_sphere))
+    out, ok = solver._restore_volume(init, state)
+    assert ok and out is init
+    x = init.vertices.copy()
+    k = np.flatnonzero(~init.boundary_vertex_mask)[0]
+    x[k] *= 1.05 / np.linalg.norm(x[k])
+    out, ok = solver._restore_volume(init.with_vertices(x), state)
+    assert solver._at(out, state, volume=True).volume == pytest.approx(
+        state.volume_target, rel=1e-12)
+    assert np.linalg.norm(out.vertices[k]) > 1.0 + 1e-3
+    assert not ok
 
 
 def _volume_never_met(mesh, state, *args, **kwargs):
@@ -286,12 +285,14 @@ def test_a_collapsed_step_has_its_own_stop(monkeypatch):
                          [("gradient", 1, 0.0), ("stalled", 21, math.inf)])
 def test_gradient_and_stalled_stops_converge_on_the_measurement(
         monkeypatch, unit_sphere, stop, steps, grad_norm, passed):
-    # a step whose start residual is under the threshold stops "gradient";
-    # 20 steps without an energy drop stop "stalled"; either converges
-    # exactly when the final mesh's measurement passes
+    # a step that does not move (flow_step's fixed point, with a zero
+    # residual) stops "gradient"; 20 steps without an energy drop stop
+    # "stalled"; either converges exactly when the final mesh's measurement
+    # passes
     def flat_step(mesh, state):
         state.iteration += 1
-        return mesh, {"step": 1.0, "energy": 0.0, "gradNorm": grad_norm}
+        return mesh, {"step": 0.0 if grad_norm == 0.0 else 1.0,
+                      "energy": 0.0, "gradNorm": grad_norm}
 
     monkeypatch.setattr(solver, "flow_step", flat_step)
     _measure_passes(monkeypatch, passed)
@@ -829,15 +830,24 @@ def test_failed_remesh_restore_keeps_the_old_mesh(monkeypatch, unit_sphere):
     assert len(restores) == 1
 
 
-def test_a_diverging_remesh_restore_is_a_named_error(unit_sphere):
+def test_a_diverging_remesh_restore_is_a_named_error(monkeypatch,
+                                                     unit_sphere):
     # twice the volume of this coarse drop: after the step-25 remesh the
-    # restore's chord iterates grew until they overflowed (RuntimeWarning),
-    # and on a 10-step cadence splu's "Factor is exactly singular" escaped
+    # restore's chord iterates once grew until they overflowed, and on a
+    # 10-step cadence splu's "Factor is exactly singular" escaped; later the
+    # flow took 50 crossing steps before it gave up.  The entry restore
+    # already meets the volume only past the substrate, so the solve ends
+    # there, before any step
+    def no_step(mesh, state):
+        raise AssertionError("a flow step ran")
+
+    monkeypatch.setattr(solver, "flow_step", no_step)
     drop = interior_drop_cap(1.0, math.radians(80.0), math.radians(110.0))
     params = CapillaryParams(gamma=drop.gamma, target_volume=2 * drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
                              substrate=unit_sphere, max_iterations=120)
-    with pytest.raises(SolverError):
+    with pytest.raises(SideViolationError,
+                       match="at the target volume crosses the substrate"):
         solver.solve_capillary(unit_sphere, params,
                                drop.free_surface_mesh(12), cfg)
 
