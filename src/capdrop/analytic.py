@@ -75,10 +75,6 @@ class SphericalCapSpec:
         """Volume between the cap and the plane of its rim circle."""
         return cap_volume(self.carrier.radius, self.height)
 
-    @property
-    def apex(self) -> np.ndarray:
-        return self.carrier.center + self.carrier.radius * self.axis
-
     def mesh(self, n_angular: int = 64, n_rings: int | None = None) -> TriMesh:
         """Triangulation, wound outward with respect to the carrier sphere."""
         return spherical_cap_mesh(self.carrier, self.axis, self.polar_angle,

@@ -94,10 +94,6 @@ class DelaunayProfile:
         scale = max(abs(self.c), float(self.x.max()))
         return float(np.abs(self.first_integral_values - self.c).max()) / scale
 
-    @property
-    def arclength_span(self) -> tuple[float, float]:
-        return float(self.s[0]), float(self.s[-1])
-
     def evaluate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense-output evaluation of (x, z, psi) at arbitrary arclengths."""
         s = np.atleast_1d(np.asarray(s, dtype=float))

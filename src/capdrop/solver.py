@@ -164,10 +164,10 @@ class SolveReport:
     ``grad_norm`` (the projected residual's norm) are those of the returned
     mesh, as ``flow_step`` would give them there.  ``message`` names the
     stop: "measured", "gradient" (a step found the residual under its
-    threshold and did not move), "stalled" (20 steps without an energy
-    drop) or "collapsed" (no descent step), which converge if the deviation
-    fields passed their tolerances, or "budget" or "runaway" (a pinned
-    target's area passed that of the sphere of curvature H), which do not.
+    threshold and did not move) or "collapsed" (no descent step), which
+    converge if the deviation fields passed their tolerances, or "budget"
+    or "runaway" (a pinned target's area passed that of the sphere of
+    curvature H), which do not.
     A free-boundary curvature target whose final multiplier is off H by more
     than ``MULTIPLIER_TOL_FACTOR`` does not converge either, and its message
     names the miss and the stop.
@@ -648,18 +648,19 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
 
 
 def _do_remesh(mesh: TriMesh, state: FlowState) -> TriMesh:
-    """Remesh, rewet and restore the volume.  A remesh whose boundary loops
-    cannot be wetted or whose restore is infeasible is rejected: the old
-    mesh, operator and factor are kept.  Either way the displacement is
-    counted afresh, so a rejected remesh is not retried every step."""
+    """Remesh, rewet and restore the volume.  A remesh is rejected when the
+    remesher rejects its own edit, when its boundary loops cannot be wetted
+    or when its restore is infeasible: the old mesh, operator and factor
+    are kept.  Either way the displacement is counted afresh, so a rejected
+    remesh is not retried every step."""
     op = state.operator
     new, _ = _remesh_with_stats(
         mesh, state.target_edge,
         boundary_sphere=None if op is None else op.sphere)
+    state.disp_since_remesh = 0.0
     if new is mesh:
         return mesh
     kept = (op, state._precond, state._precond_stale)
-    state.disp_since_remesh = 0.0
     if op is not None:
         try:
             state.operator = make_wetting_operator(new, op.sphere, side=op.side)
@@ -716,7 +717,6 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     state._precond_stale = math.inf
     stop = "budget"
     prev_e = None
-    recent: list = []
     pinned = state.operator is None
     while True:
         cadence = state.iteration > 0 and state.iteration % REMESH_EVERY == 0
@@ -732,14 +732,12 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
                 and state.disp_since_remesh > 0.2 * state.target_edge):
             mesh = _do_remesh(mesh, state)
             prev_e = None
-            recent.clear()
-        elif ((pinned and state.iteration > 0)
-              or (cadence and state.iteration >= 2 * REMESH_EVERY)):
+        elif state.iteration > 0 and (pinned or cadence):
             # see if the measured physics already passes before grinding out
             # the last tangential modes.  A pinned solve tries after every
             # step: the check reads the gradients the next step computes
-            # here anyway.  A free one tries on the cadence, once one
-            # cadence remesh has settled
+            # here anyway.  A free one tries on each cadence step that does
+            # not remesh
             if _measure(mesh, state)["pass"]:
                 stop = "measured"
                 break
@@ -766,12 +764,6 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
                 * state.pressure ** 2 > 4.0 * math.pi):
             stop = "runaway"
             break
-        recent.append(diag["energy"])
-        if len(recent) > 20:
-            recent.pop(0)
-            if recent[0] - recent[-1] <= 1e-13 * (abs(recent[-1]) + 1.0):
-                stop = "stalled"
-                break
     return mesh, stop
 
 
@@ -867,7 +859,7 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
             stop = (f"missed curvature target {target_curvature:.6g}: "
                     f"multiplier {mu:.6g} at stop {stop!r}")
     return mesh, SolveReport(
-        converged=stop in ("gradient", "stalled", "collapsed", "measured")
+        converged=stop in ("gradient", "collapsed", "measured")
         and m["pass"],
         iterations=state.iteration,
         final_energy=p.area if state.operator is None else p.energy,

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tomllib
@@ -118,6 +119,36 @@ def test_every_private_definition_is_used_in_the_package():
                 used.add(node.attr)
     assert defined
     assert sorted(defined - used) == []
+
+
+def _definition(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
+
+
+def test_every_stop_is_documented_and_only_named_stops_converge():
+    # the stop's name is the report's verdict: SolveReport documents
+    # exactly the names the flow loop assigns, and the converged tuple
+    # names only those, so no stop is undocumented or documented but dead
+    tree = ast.parse((SRC / "solver.py").read_text())
+    stops = {node.value.value
+             for node in ast.walk(_definition(tree, "_run_flow"))
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant)
+             and any(isinstance(t, ast.Name) and t.id == "stop"
+                     for t in node.targets)}
+    documented = set(re.findall(r'"([^"]+)"', ast.get_docstring(
+        _definition(tree, "SolveReport"))))
+    assert stops and stops == documented
+    converging = [{elt.value for elt in node.comparators[0].elts}
+                  for node in ast.walk(_definition(tree, "_solve"))
+                  if isinstance(node, ast.Compare)
+                  and isinstance(node.left, ast.Name)
+                  and node.left.id == "stop"
+                  and isinstance(node.ops[0], ast.In)]
+    assert len(converging) == 1
+    assert converging[0] and converging[0] <= stops
 
 
 # scipy parts that no solve uses: ODE integration and root finding serve

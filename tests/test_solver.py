@@ -267,8 +267,8 @@ def test_pinned_curvature_target_with_no_small_cap_runs_away():
 
 
 def test_a_collapsed_step_has_its_own_stop(monkeypatch):
-    # a collapse once reported "stalled", the name of the energy plateau;
-    # it may still converge, here on the critical flat disk
+    # a collapse is named as such, and it may still converge, here on the
+    # critical flat disk
     def collapse(mesh, state):
         raise StepCollapseError("no descent direction at current iterate")
 
@@ -281,26 +281,22 @@ def test_a_collapsed_step_has_its_own_stop(monkeypatch):
 
 
 @pytest.mark.parametrize("passed", [True, False])
-@pytest.mark.parametrize("stop, steps, grad_norm",
-                         [("gradient", 1, 0.0), ("stalled", 21, math.inf)])
-def test_gradient_and_stalled_stops_converge_on_the_measurement(
-        monkeypatch, unit_sphere, stop, steps, grad_norm, passed):
+def test_the_gradient_stop_converges_on_the_measurement(
+        monkeypatch, unit_sphere, passed):
     # a step that does not move (flow_step's fixed point, with a zero
-    # residual) stops "gradient"; 20 steps without an energy drop stop
-    # "stalled"; either converges exactly when the final mesh's measurement
-    # passes
+    # residual) stops "gradient", which converges exactly when the final
+    # mesh's measurement passes
     def flat_step(mesh, state):
         state.iteration += 1
-        return mesh, {"step": 0.0 if grad_norm == 0.0 else 1.0,
-                      "energy": 0.0, "gradNorm": grad_norm}
+        return mesh, {"step": 0.0, "energy": 0.0, "gradNorm": 0.0}
 
     monkeypatch.setattr(solver, "flow_step", flat_step)
     _measure_passes(monkeypatch, passed)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
     _, report = solver.solve_capillary(unit_sphere, params, init)
-    assert (report.message, report.converged) == (stop, passed)
-    assert report.iterations == steps
+    assert (report.message, report.converged) == ("gradient", passed)
+    assert report.iterations == 1
 
 
 def _sagged_disk(depth):
@@ -406,6 +402,59 @@ def test_height_law_needs_a_positive_kappa(unit_sphere, kappa):
 def test_solve_config_rejects_bad_counts():
     with pytest.raises(ValueError, match="max_iterations"):
         solver.SolveConfig(mode="dirichlet_cmc", max_iterations=0)
+
+
+def _flipped_drop_mesh():
+    # the small drop mirrored through z = 0: its contact loop lies in the
+    # lower hemisphere
+    _, init = _small_drop()
+    return init.with_vertices(init.vertices * np.array([1.0, 1.0, -1.0]))
+
+
+_DISK = flat_disk(1.0, n_angular=16, n_rings=4)
+_CIRCLE = _DISK.vertices[_DISK.boundary_vertex_mask]
+_SUB = Sphere(np.zeros(3), 1.0)
+_PARAMS = CapillaryParams(gamma=1.0, target_volume=0.3)
+INPUT_CHECKS = {
+    "unknown mode": (lambda: solver.SolveConfig(mode="pinned"),
+                     "mode must be one of"),
+    "free without substrate": (
+        lambda: solver.SolveConfig(mode="capillary", params=_PARAMS),
+        "capillary mode needs a substrate sphere"),
+    "free without params": (
+        lambda: solver.SolveConfig(mode="capillary", substrate=_SUB),
+        "capillary mode needs CapillaryParams"),
+    "config of another mode": (
+        lambda: solver.solve_dirichlet_cmc(
+            _CIRCLE, _DISK, solver.SolveConfig(
+                mode="capillary", params=_PARAMS, substrate=_SUB),
+            target_volume=0.3),
+        "config.mode must be 'dirichlet_cmc'"),
+    "both targets": (
+        lambda: solver.solve_dirichlet_cmc(_CIRCLE, _DISK, target_volume=0.3,
+                                           target_mean_curvature=0.5),
+        "exactly one of target_volume / target_mean_curvature"),
+    "boundary count": (
+        lambda: solver.solve_dirichlet_cmc(_CIRCLE[:-1], _DISK,
+                                           target_volume=0.3),
+        "init mesh boundary has 16 vertices, the prescribed curve has 15"),
+    "boundary off the curve": (
+        lambda: solver.solve_dirichlet_cmc(1.01 * _CIRCLE, _DISK,
+                                           target_volume=0.3),
+        "does not lie on the prescribed curve"),
+    "boundary below the equator": (
+        lambda: solver.solve_prescribed_height_curvature(
+            _SUB, CapillaryParams(gamma=1.0, kappa=0.5, target_volume=0.3),
+            _flipped_drop_mesh()),
+        "upper open hemisphere"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_solver_input_checks_name_the_fault(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_solve_config_rejects_free_boundary_fields_when_pinned():
@@ -551,6 +600,25 @@ def test_quality_trigger_remeshes_a_pinned_solve(monkeypatch):
     assert np.array_equal(np.unique(out, axis=0), np.unique(boundary, axis=0))
 
 
+def test_a_remesh_the_remesher_rejects_waits_for_displacement(monkeypatch):
+    # a remesh that the remesher rejects itself once left the displacement
+    # uncounted, so the poor faces of this disk asked again every step:
+    # 21 attempts in 30 steps
+    calls = []
+
+    def rejected(mesh, *args, **kwargs):
+        calls.append(mesh)
+        return mesh, 0
+
+    monkeypatch.setattr(solver, "_remesh_with_stats", rejected)
+    init, boundary = _squashed_disk(0.02)
+    cfg = solver.SolveConfig(mode="dirichlet_cmc", max_iterations=30)
+    _, report = solver.solve_dirichlet_cmc(boundary, init, cfg,
+                                           target_volume=0.5)
+    assert report.iterations == 30
+    assert 1 <= len(calls) <= 2
+
+
 def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
                                                     unit_sphere):
     # the 1071-vertex disk to the H = 2/3 cap: a cadence remesh at step 25
@@ -610,9 +678,9 @@ def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
 
 def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
                                                           unit_sphere):
-    # a free solve tries the measured stop on cadence steps from
-    # 2 * REMESH_EVERY on, and not on a step that remeshed; this one runs
-    # to its budget, remeshing on the cadence and on the quality trigger
+    # a free solve tries the measured stop on every cadence step that does
+    # not remesh; this one runs to its budget, remeshing on the cadence and
+    # on the quality trigger
     monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     tries = _counted(monkeypatch, "_measure", lambda m, state:
                      state.iteration)
@@ -628,8 +696,23 @@ def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
     assert any(step % 10 for step in remeshes)
     # the last measurement is the report's
     assert tries[-1] == 120
-    assert tries[:-1] == [step for step in range(20, 121, 10)
+    assert tries[:-1] == [step for step in range(10, 121, 10)
                           if step not in remeshes]
+
+
+def test_a_free_budget_that_ends_on_a_cadence_step_tries_the_stop(
+        monkeypatch, unit_sphere):
+    # at the budget's end no remesh runs, so the first cadence step tries
+    # the stop; the free stop once waited for 2 * REMESH_EVERY steps, and
+    # this solve ended on "budget"
+    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
+    _measure_passes(monkeypatch, True)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=10)
+    _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert (report.message, report.iterations) == ("measured", 10)
 
 
 def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
