@@ -4,20 +4,24 @@ The capillary energy and the volume constraint need the area, the enclosed
 volume and the z-moment of the drop region W, whose boundary is the free
 surface plus a patch of the substrate sphere.  Meshing that patch every
 iteration would be slow and non-differentiable, so the patch contributions
-are evaluated as line integrals over the free-surface boundary loops using
-vector potentials of the relevant surface densities:
+are evaluated as line integrals over the free-surface boundary loops.  Both
+densities are circulations of one family of potentials, alpha(z) (-y, x, 0),
+and each is given by its profile, alpha and alpha':
 
-* area:      G(p) = rho (-y, x, 0) / (rho + z) in a frame whose +z axis is
-             a chosen pole; (curl G) . n = 1 on the sphere.  Singular only
-             at the antipode of the pole, which calibration keeps off-patch.
-* z^3 flux:  A(z) (-y, x, 0) with A(z) = rho (z^2 + rho^2) / 4, giving
+* area:      alpha = rho / (rho + z) in a frame whose +z axis is a chosen
+             pole; (curl .) . n = 1 on the sphere.  Singular only at the
+             antipode of the pole, which calibration keeps off-patch.
+* z^3 flux:  alpha = rho (z^2 + rho^2) / 4 in the world frame, giving
              (curl .) . n = z^3; smooth on the whole sphere.  The z-moment
              of W over the patch is z^3 flux / (2 rho) up to the side sign.
 
 Circulations are computed on the boundary polygon with two-point Gauss
-quadrature per chord, and all functionals come with analytic gradients with
-respect to the loop vertex positions.  Everything assumes the substrate
-sphere is centered at the origin; callers translate first.
+quadrature per chord.  At a node q of a chord e the integrand is
+alpha (x e_y - y e_x); its gradient is (alpha e_y, -alpha e_x,
+alpha' (x e_y - y e_x)) in q and the potential itself in e, so every
+functional has a closed-form gradient with respect to the loop vertex
+positions.  Everything assumes the substrate sphere is centered at the
+origin; callers translate first.
 """
 from __future__ import annotations
 
@@ -41,50 +45,22 @@ __all__ = [
     "surface_z_moment_gradient",
 ]
 
+# the two Gauss nodes of a chord a -> b sit at (a + b) / 2 -+ off (b - a);
+# each node's weight toward a (toward b it is 1 - weight)
 _GAUSS_OFF = 0.5 / math.sqrt(3.0)
+_GAUSS_STEPS = np.array([-_GAUSS_OFF, _GAUSS_OFF])[:, None, None]
+_GAUSS_WEIGHTS = 0.5 - _GAUSS_STEPS
 
 
-def _gauss_points(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mid = 0.5 * (a + b)
-    off = _GAUSS_OFF * (b - a)
-    return mid - off, mid + off
+def _area_profile(z: np.ndarray, rho: float):
+    """alpha and alpha' of the area potential, in the pole frame."""
+    alpha = rho / (rho + z)
+    return alpha, -alpha / (rho + z)
 
 
-def _area_field(p: np.ndarray, rho: float) -> np.ndarray:
-    denom = rho + p[:, 2]
-    out = np.zeros_like(p)
-    out[:, 0] = -rho * p[:, 1] / denom
-    out[:, 1] = rho * p[:, 0] / denom
-    return out
-
-
-def _area_field_jac(p: np.ndarray, rho: float) -> np.ndarray:
-    denom = rho + p[:, 2]
-    jac = np.zeros((len(p), 3, 3))
-    jac[:, 0, 1] = -rho / denom
-    jac[:, 0, 2] = rho * p[:, 1] / denom ** 2
-    jac[:, 1, 0] = rho / denom
-    jac[:, 1, 2] = -rho * p[:, 0] / denom ** 2
-    return jac
-
-
-def _z3_field(p: np.ndarray, rho: float) -> np.ndarray:
-    alpha = rho * (p[:, 2] ** 2 + rho * rho) / 4.0
-    out = np.zeros_like(p)
-    out[:, 0] = -alpha * p[:, 1]
-    out[:, 1] = alpha * p[:, 0]
-    return out
-
-
-def _z3_field_jac(p: np.ndarray, rho: float) -> np.ndarray:
-    alpha = rho * (p[:, 2] ** 2 + rho * rho) / 4.0
-    dalpha = rho * p[:, 2] / 2.0
-    jac = np.zeros((len(p), 3, 3))
-    jac[:, 0, 1] = -alpha
-    jac[:, 0, 2] = -dalpha * p[:, 1]
-    jac[:, 1, 0] = alpha
-    jac[:, 1, 2] = dalpha * p[:, 0]
-    return jac
+def _z3_profile(z: np.ndarray, rho: float):
+    """alpha and alpha' of the z^3-flux potential, in the world frame."""
+    return rho * (z * z + rho * rho) / 4.0, rho * z / 2.0
 
 
 def _next(loop_pts: np.ndarray) -> np.ndarray:
@@ -92,52 +68,50 @@ def _next(loop_pts: np.ndarray) -> np.ndarray:
     return np.concatenate([loop_pts[1:], loop_pts[:1]])
 
 
-def _pole_rotation(pole: np.ndarray) -> np.ndarray | None:
-    """Rotation taking ``pole`` to +z; None when it already is +z."""
-    if abs(pole[2] - 1.0) < 1e-15:
-        return None
-    return rotation_between(pole, np.array([0.0, 0.0, 1.0]))
-
-
 def _chord_nodes(loop_pts: np.ndarray, rot: np.ndarray | None):
     """Each chord of a closed polygon, in the frame ``rot`` takes it to:
-    its start, its end and its two Gauss nodes."""
+    its vector e = b - a, shape (m, 3), and its two Gauss nodes, shape
+    (2, m, 3), the one nearer a first."""
     a = loop_pts
     b = _next(loop_pts)
     if rot is not None:
         a = a @ rot.T
         b = b @ rot.T
-    return (a, b) + _gauss_points(a, b)
-
-
-def _circulation(loop_pts: np.ndarray, rho: float, field, rot: np.ndarray | None):
-    """2-point Gauss circulation of a field over a closed polygon."""
-    a, b, q1, q2 = _chord_nodes(loop_pts, rot)
-    vals = 0.5 * (field(q1, rho) + field(q2, rho))
-    return float(np.sum(vals * (b - a)))
-
-
-def _circulation_gradient(loop_pts: np.ndarray, rho: float, field, field_jac,
-                          rot: np.ndarray | None) -> np.ndarray:
-    """Gradient of the circulation with respect to each loop vertex."""
-    a, b, q1, q2 = _chord_nodes(loop_pts, rot)
     e = b - a
-    g1, g2 = field(q1, rho), field(q2, rho)
-    j1, j2 = field_jac(q1, rho), field_jac(q2, rho)
-    # d(circ)/dq at the two Gauss nodes: J(q)^T e
-    jte1 = np.einsum("mij,mi->mj", j1, e)
-    jte2 = np.einsum("mij,mi->mj", j2, e)
-    half_sum = 0.5 * (g1 + g2)
-    # chain rule through q1 = m - off, q2 = m + off, e = b - a
-    ca1, ca2 = 0.5 + _GAUSS_OFF, 0.5 - _GAUSS_OFF
-    grad_a = 0.5 * (ca1 * jte1 + ca2 * jte2) - half_sum
-    grad_b = 0.5 * (ca2 * jte1 + ca1 * jte2) + half_sum
-    # vertex i is the end b of chord i - 1
-    grad = grad_a
-    grad[1:] += grad_b[:-1]
-    grad[0] += grad_b[-1]
-    if rot is not None:
-        grad = grad @ rot
+    return e, 0.5 * (a + b) + _GAUSS_STEPS * e
+
+
+def _circulation(vertices: np.ndarray, loops, rho: float, profile,
+                 rot: np.ndarray | None) -> float:
+    """2-point Gauss circulation of alpha(z) (-y, x, 0) over closed
+    polygons: at each node, alpha (x e_y - y e_x)."""
+    total = 0.0
+    for l in loops:
+        e, q = _chord_nodes(vertices[l], rot)
+        alpha, _ = profile(q[..., 2], rho)
+        total += float(np.sum(alpha * (q[..., 0] * e[:, 1]
+                                       - q[..., 1] * e[:, 0])))
+    return 0.5 * total
+
+
+def _circulation_gradient(vertices: np.ndarray, loops, rho: float, profile,
+                          rot: np.ndarray | None) -> np.ndarray:
+    """Gradient of the circulation with respect to every vertex."""
+    grad = np.zeros_like(vertices)
+    for l in loops:
+        e, q = _chord_nodes(vertices[l], rot)
+        alpha, dalpha = profile(q[..., 2], rho)
+        x, y = q[..., 0], q[..., 1]
+        # gradient of alpha (x e_y - y e_x) in the node (J^T e) and in e
+        # (the field itself), chained through the node's weights toward a, b
+        jte = np.stack([alpha * e[:, 1], -alpha * e[:, 0],
+                        dalpha * (x * e[:, 1] - y * e[:, 0])], axis=-1)
+        fld = np.stack([-alpha * y, alpha * x, np.zeros_like(x)], axis=-1)
+        grad_a = (_GAUSS_WEIGHTS * jte - fld).sum(axis=0)
+        grad_b = ((1.0 - _GAUSS_WEIGHTS) * jte + fld).sum(axis=0)
+        # vertex i is the end b of chord i - 1
+        grad_l = 0.5 * (grad_a + np.roll(grad_b, 1, axis=0))
+        grad[l] = grad_l if rot is None else grad_l @ rot
     return grad
 
 
@@ -168,7 +142,9 @@ class WettingOperator:
 
     def __post_init__(self):
         _require_origin_centered(self.sphere)
-        object.__setattr__(self, "rot", _pole_rotation(self.pole))
+        rot = (None if abs(self.pole[2] - 1.0) < 1e-15 else
+               rotation_between(self.pole, np.array([0.0, 0.0, 1.0])))
+        object.__setattr__(self, "rot", rot)
 
     @property
     def side(self) -> str:
@@ -176,19 +152,12 @@ class WettingOperator:
         return "interior" if self.side_sign > 0 else "exterior"
 
     def area(self, vertices: np.ndarray) -> float:
-        rho = self.sphere.radius
-        rot = self.rot
-        return -self.side_sign * sum(
-            _circulation(vertices[l], rho, _area_field, rot) for l in self.loops)
+        return -self.side_sign * _circulation(
+            vertices, self.loops, self.sphere.radius, _area_profile, self.rot)
 
     def area_gradient(self, vertices: np.ndarray) -> np.ndarray:
-        rho = self.sphere.radius
-        rot = self.rot
-        grad = np.zeros_like(vertices)
-        for l in self.loops:
-            grad[l] -= self.side_sign * _circulation_gradient(
-                vertices[l], rho, _area_field, _area_field_jac, rot)
-        return grad
+        return -self.side_sign * _circulation_gradient(
+            vertices, self.loops, self.sphere.radius, _area_profile, self.rot)
 
     # -- contributions of the patch to the functionals of W -------------------
 
@@ -200,16 +169,13 @@ class WettingOperator:
         The flux is taken with the orientation -side_sign, so the side sign
         cancels."""
         rho = self.sphere.radius
-        return -1.0 / (2.0 * rho) * sum(
-            _circulation(vertices[l], rho, _z3_field, None) for l in self.loops)
+        return -1.0 / (2.0 * rho) * _circulation(
+            vertices, self.loops, rho, _z3_profile, None)
 
     def z_moment_term_gradient(self, vertices: np.ndarray) -> np.ndarray:
         rho = self.sphere.radius
-        grad = np.zeros_like(vertices)
-        for l in self.loops:
-            grad[l] = _circulation_gradient(vertices[l], rho, _z3_field,
-                                            _z3_field_jac, None)
-        return -1.0 / (2.0 * rho) * grad
+        return -1.0 / (2.0 * rho) * _circulation_gradient(
+            vertices, self.loops, rho, _z3_profile, None)
 
 
 def _loop_axis(pts: np.ndarray) -> np.ndarray:
@@ -251,21 +217,18 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
 
     rho = sphere.radius
     sphere_area = 4.0 * math.pi * rho * rho
-    best = None
+    candidates = []
     for pole in (base_pole, -base_pole):
-        rot = _pole_rotation(pole)
-        circ = sum(_circulation(mesh.vertices[l], rho, _area_field, rot)
-                   for l in loops)
-        a_est = -side_sign * circ
-        if a_est <= 1e-12 * rho * rho or a_est > sphere_area * (1.0 + 1e-3):
-            continue
-        if best is None or a_est < best[0]:
-            best = (a_est, pole)
-    if best is None:
+        op = WettingOperator(sphere=sphere, loops=loops, side_sign=side_sign,
+                             pole=pole)
+        a_est = op.area(mesh.vertices)
+        if 1e-12 * rho * rho < a_est <= sphere_area * (1.0 + 1e-3):
+            candidates.append((a_est, op))
+    if not candidates:
         raise WettingCalibrationError(
             "wetted-patch calibration failed: no pole gives a positive patch "
             "area; is the mesh wound with normals out of the drop?")
-    a_est, pole = best
+    a_est, op = min(candidates, key=lambda pair: pair[0])
 
     try:
         region = close_with_spherical_patch(mesh, sphere, side="near")
@@ -283,8 +246,7 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
                 f"{a_est:.6g} against meshed patch area {area_true:.6g}")
     except LoopsNotInHemisphereError:
         pass  # near-hemisphere patch: the closure cannot mesh it, skip the check
-    return WettingOperator(sphere=sphere, loops=loops, side_sign=side_sign,
-                           pole=pole)
+    return op
 
 
 # -- surface-side contributions (over the free-surface mesh itself) -----------

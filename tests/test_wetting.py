@@ -235,15 +235,29 @@ def test_z_moment_of_ball_centered_at_height():
     assert mz == pytest.approx(vol * 0.55, rel=1e-6)
 
 
-def test_area_gradient_fd(bulge, rng):
+@pytest.fixture(scope="module", params=["upright", "tilted"])
+def bulge_in_frame(request, bulge):
+    """The bulge, and the bulge turned off +z, whose area circulation runs
+    in a rotated pole frame."""
     drop, mesh, op = bulge
+    if request.param == "upright":
+        return drop, mesh, op
+    turned = mesh.transformed(rotation=rotation_from_axis_angle(
+        np.array((1.0, 0.4, 0.0)), 0.7))
+    op = make_wetting_operator(turned, drop.substrate)
+    assert op.rot is not None
+    return drop, turned, op
+
+
+def test_area_gradient_fd(bulge_in_frame, rng):
+    drop, mesh, op = bulge_in_frame
     w = fd_directional(mesh, lambda: op.area(mesh.vertices),
                        lambda: op.area_gradient(mesh.vertices), rng)
     assert w < 5e-7
 
 
-def test_z_moment_term_gradient_fd(bulge, rng):
-    drop, mesh, op = bulge
+def test_z_moment_term_gradient_fd(bulge_in_frame, rng):
+    drop, mesh, op = bulge_in_frame
     w = fd_directional(mesh, lambda: op.z_moment_term(mesh.vertices),
                        lambda: op.z_moment_term_gradient(mesh.vertices), rng)
     assert w < 5e-7
