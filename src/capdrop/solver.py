@@ -21,12 +21,15 @@ neither projection nor restore: below the hemisphere the small cap is a
 strict local minimum of it.
 
 Every position the flow visits is evaluated by one face pass
-(``_face_pass``): the face corners are gathered once, and their cross
-products give the area, the divergence volume, the worst face quality and,
-on demand, the area gradient (half the unit face normal crossed with the
-edge opposite each corner: the cotangent formula, written with the normal
-the area needs anyway) and the volume gradient, which leave through one
-scatter.  The wetting operator's circulations run once per position too.
+(``_face_pass``), which is asked for values or for gradients: the volume
+always, the energy (with the area and the worst face quality) on request,
+and the volume and energy gradients together.  The face corners are
+gathered once; their cross products give the values, and the area gradient
+is half the unit face normal crossed with the edge opposite each corner
+(the cotangent formula, written with the normal the area needs anyway).
+Both gradients leave through one scatter.  A step asks for gradients once,
+at its start position; its trials and restore iterates ask for values
+only.  The wetting operator's circulations run once per position too.
 The values are kept with the mesh of that position, tagged with the flow
 state, so each is computed at most once; the per-face arrays are not kept.
 The multiplier and residual norm of a position come from its own gradients
@@ -241,29 +244,25 @@ class _Position:
 
 
 def _at(m: TriMesh, state: FlowState, *, energy: bool = False,
-        volume: bool = False, c: bool = False, g: bool = False) -> _Position:
+        grads: bool = False) -> _Position:
     """The flow's values at ``m``'s positions, computing in one face pass
-    whichever of the requested ones are not known yet: ``energy`` (with the
-    surface area and the worst face quality), ``volume``, and the volume
-    and energy gradients ``c`` and ``g``."""
+    whichever of the requested ones are not known yet: the volume always,
+    ``energy`` (with the surface area and the worst face quality) and
+    ``grads``, the volume and energy gradients ``c`` and ``g``."""
     p = m._cache.get("flow")
     if p is None or p.key is not state._key:
         p = m._cache["flow"] = _Position(state._key)
-    if state.pressure is not None:
-        # the pressure term -2 H V reads the volume and its gradient
-        volume, c = volume or energy, c or g
     energy = energy and p.energy is None
-    volume = volume and p.volume is None
-    c = c and p.c is None
-    g = g and p.g is None
-    if energy or volume or c or g:
-        _face_pass(m, state, p, energy, volume, c, g)
+    grads = grads and p.c is None
+    if p.volume is None or energy or grads:
+        _face_pass(m, state, p, energy, grads)
     return p
 
 
 def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
-               volume: bool, want_c: bool, want_g: bool) -> None:
-    """Fill the requested fields of ``p`` from one gather of the corners.
+               grads: bool) -> None:
+    """Fill the volume of ``p`` if it is not known, and the energy or the
+    gradients if asked, from one gather of the corners.
 
     Per face, with corners a, b, c and the edge e_k opposite corner k:
     n = (b - a) x (c - a) gives the area |n|/2, the quality
@@ -271,28 +270,28 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
     corner k (the cotangent formula, written with the normal the area needs
     anyway); b x c gives the divergence volume a . (b x c) / 6 and, with
     c x a and a x b, its gradient.  Both gradients leave through one
-    scatter.  The wetting terms come from one circulation per position.
-    A pinned target's pressure term takes 2 H V off the energy and 2 H c
-    off its gradient.
+    six-column scatter, which sums each column on its own.  The wetting
+    terms come from one circulation per position.  A pinned target's
+    pressure term takes 2 H V off the energy and 2 H c off its gradient.
     """
     v, f = m.vertices, m.faces
     a, b, c = (np.take(v, f[:, k], axis=0) for k in range(3))
     op = state.operator
     cosg = math.cos(state.gamma)
-    if energy or want_g:
+    if energy or grads:
         edges = (c - b, a - c, b - a)
         n = cross3(edges[1], edges[2])  # = (b - a) x (c - a)
         nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-    if volume or want_c:
+    if p.volume is None or grads:
         bc = cross3(b, c)
     if op is not None:
         vol_per_wet = op.side_sign * op.sphere.radius / 3.0
-        if p.wet is None and (volume or (energy and cosg != 0.0)):
+        if p.wet is None:
             p.wet = op.area(v)
-        if p.wet_grad is None and (want_c or (want_g and cosg != 0.0)):
+        if grads:
             p.wet_grad = op.area_gradient(v)
 
-    if volume:
+    if p.volume is None:
         vol = float(np.einsum("ij,ij->i", a, bc).sum() / 6.0)
         if op is not None:
             vol += vol_per_wet * p.wet
@@ -310,37 +309,31 @@ def _face_pass(m: TriMesh, state: FlowState, p: _Position, energy: bool,
         if state.pressure is not None:
             e -= 2.0 * state.pressure * p.volume
         p.energy = e
-    if not (want_c or want_g):
+    if not grads:
         return
 
-    # per corner: volume gradient in columns 0-2, area gradient after it
-    block = np.empty((3, len(f), 3 * (want_c + want_g)))
-    if want_c:
-        block[0, :, :3] = bc
-        cross3(c, a, out=block[1, :, :3])
-        cross3(a, b, out=block[2, :, :3])
-        block[:, :, :3] /= 6.0
-    if want_g:
-        nhat = n / nn[:, None]
-        for k in range(3):
-            cross3(nhat, edges[k], out=block[k, :, -3:])
-        block[:, :, -3:] *= 0.5
-    grads = m.scatter(block)
-    if want_c:
-        p.c = grads[:, :3]
-        if op is not None:
-            p.c = p.c + vol_per_wet * p.wet_grad
-    if want_g:
-        gr = grads[:, -3:]
-        if op is not None:
-            if cosg != 0.0:
-                gr = gr - cosg * p.wet_grad
-            if state.kappa != 0.0:
-                gr = gr - 2.0 * state.kappa * (surface_z_moment_gradient(m)
-                                               + op.z_moment_term_gradient(v))
-        if state.pressure is not None:
-            gr = gr - 2.0 * state.pressure * p.c
-        p.g = gr
+    # per corner: volume gradient in columns 0-2, area gradient in 3-5
+    block = np.empty((3, len(f), 6))
+    block[0, :, :3] = bc
+    cross3(c, a, out=block[1, :, :3])
+    cross3(a, b, out=block[2, :, :3])
+    block[:, :, :3] /= 6.0
+    nhat = n / nn[:, None]
+    for k in range(3):
+        cross3(nhat, edges[k], out=block[k, :, 3:])
+    block[:, :, 3:] *= 0.5
+    cg = m.scatter(block)
+    p.c, gr = cg[:, :3], cg[:, 3:]
+    if op is not None:
+        p.c = p.c + vol_per_wet * p.wet_grad
+        if cosg != 0.0:
+            gr = gr - cosg * p.wet_grad
+        if state.kappa != 0.0:
+            gr = gr - 2.0 * state.kappa * (surface_z_moment_gradient(m)
+                                           + op.z_moment_term_gradient(v))
+    if state.pressure is not None:
+        gr = gr - 2.0 * state.pressure * p.c
+    p.g = gr
     # every later request at this position gets these same arrays
     for arr in (p.c, p.g, p.wet_grad):
         if arr is not None:
@@ -378,7 +371,7 @@ def _restore_direction(m: TriMesh, state: FlowState, pc: np.ndarray | None = Non
     projection.  A caller that has already solved for it passes the solve
     ``pc``, and then no solve runs here.
     """
-    c = _at(m, state, volume=True, c=True).c
+    c = _at(m, state, grads=True).c
     if pc is None:
         pc = _preconditioner(m, state).solve(_project_rows(c, m, state))
     u = _project_rows(pc, m, state)
@@ -387,7 +380,7 @@ def _restore_direction(m: TriMesh, state: FlowState, pc: np.ndarray | None = Non
 
 def _volume_met(m: TriMesh, state: FlowState) -> bool:
     target = state.volume_target
-    return (abs(target - _at(m, state, volume=True).volume)
+    return (abs(target - _at(m, state).volume)
             <= RESTORE_REL_TOL * max(1.0, abs(target)))
 
 
@@ -430,7 +423,7 @@ def _restore_volume(m: TriMesh, state: FlowState,
     for _ in range(RESTORE_MAX_ITER):
         m = m.with_vertices(
             _snap_boundary(m.vertices + (r / slope) * u, m, state))
-        p = _at(m, state, energy=True, volume=True)
+        p = _at(m, state, energy=True)
         miss, r = abs(r), state.volume_target - p.volume
         if _volume_met(m, state) or not abs(r) < miss:
             break
@@ -493,7 +486,7 @@ def _residual(m: TriMesh, state: FlowState):
     the projected energy and volume gradients, the multiplier (lambda/2,
     plus a pinned target's H) and the residual norm, |g_p - lambda c_p|, or
     |g_p| under a pressure, whose flow has no constraint."""
-    p = _at(m, state, c=True, g=True)
+    p = _at(m, state, grads=True)
     g_proj = _project_rows(p.g, m, state)
     c_proj = _project_rows(p.c, m, state)
     cc = float((c_proj * c_proj).sum())
@@ -540,7 +533,7 @@ def init_flow_state(mesh: TriMesh, config: SolveConfig,
                       sobolev_alpha=(0.25 * diagonal) ** 2, h_scale=h_scale,
                       step=INITIAL_STEP)
     if volume_target is None:
-        volume_target = _at(mesh, state, volume=True).volume
+        volume_target = _at(mesh, state).volume
     state.volume_target = float(volume_target)
     return state
 
@@ -567,7 +560,7 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     feasible descent away from a critical point.
     """
     x0 = mesh.vertices
-    p = _at(mesh, state, energy=True, volume=True, c=True, g=True)
+    p = _at(mesh, state, energy=True, grads=True)
     area, e0, v0, g = p.area, p.energy, p.volume, p.g
     g_proj, c_proj, multiplier, grad_norm = _residual(mesh, state)
 
@@ -638,7 +631,7 @@ def flow_step(mesh: TriMesh, state: FlowState) -> tuple[TriMesh, dict]:
     disp = float(np.linalg.norm(m.vertices - x0, axis=1).max())
     state._precond_stale += disp
     state.disp_since_remesh += disp
-    p = _at(m, state, energy=True, volume=True)
+    p = _at(m, state, energy=True)
     diag.update(step=t, displacement=disp, energy=p.energy, volume=p.volume)
     return m, diag
 
@@ -666,8 +659,8 @@ def _do_remesh(mesh: TriMesh, state: FlowState) -> TriMesh:
             state.operator = make_wetting_operator(new, op.sphere, side=op.side)
         except GeometryError:
             return mesh
-    # the restore's first volume and its gradient, in one face pass
-    _at(new, state, volume=True, c=True)
+    # the restore's first volume and the gradients, in one face pass
+    _at(new, state, grads=True)
     # the two resets do different jobs: the first keeps the old faces' factor
     # from serving the new faces (a remesh can keep the vertex count); the
     # second drops the restore's factor, taken before the correction moved
@@ -783,7 +776,7 @@ def _measure(mesh: TriMesh, state: FlowState) -> dict:
     the diagnostics line and the report there share it (callers must not
     change it).
     """
-    p = _at(mesh, state, c=True, g=True)
+    p = _at(mesh, state, grads=True)
     if p.measured is not None:
         return p.measured
     interior = ~mesh.boundary_vertex_mask
@@ -850,7 +843,7 @@ def _solve(init: TriMesh, config: SolveConfig, target_volume: float | None,
     with (contextlib.nullcontext() if config.diagnostics_path is None
           else open(config.diagnostics_path, "w")) as sink:
         mesh, stop = _run_flow(init, config, state, sink)
-    p = _at(mesh, state, energy=True, volume=True)
+    p = _at(mesh, state, energy=True)
     m = _measure(mesh, state)
     _, _, mu, grad_norm = _residual(mesh, state)
     if target_curvature is not None and state.operator is not None:

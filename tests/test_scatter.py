@@ -165,8 +165,7 @@ def _face_pass(mesh):
     """The flow's values at ``mesh`` for a pinned solve: no wetting terms,
     so the energy is the area and the volume the divergence volume."""
     state = solver.init_flow_state(mesh, solver.SolveConfig(mode="dirichlet_cmc"))
-    return state, solver._at(mesh, state, energy=True, volume=True, c=True,
-                             g=True)
+    return state, solver._at(mesh, state, energy=True, grads=True)
 
 
 def _close(a, b, rel=1e-12):
@@ -192,7 +191,7 @@ def test_face_pass_gradients_fd(mesh, rng):
 
         def at(t):
             q = solver._at(mesh.with_vertices(mesh.vertices + t * d), state,
-                           energy=True, volume=True)
+                           energy=True)
             return np.array([q.area, q.volume])
 
         fd = (8.0 * (at(eps) - at(-eps)) - (at(2 * eps) - at(-2 * eps))) / (12 * eps)

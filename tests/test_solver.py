@@ -147,7 +147,7 @@ def test_a_restore_past_the_substrate_is_not_feasible(unit_sphere):
     k = np.flatnonzero(~init.boundary_vertex_mask)[0]
     x[k] *= 1.05 / np.linalg.norm(x[k])
     out, ok = solver._restore_volume(init.with_vertices(x), state)
-    assert solver._at(out, state, volume=True).volume == pytest.approx(
+    assert solver._at(out, state).volume == pytest.approx(
         state.volume_target, rel=1e-12)
     assert np.linalg.norm(out.vertices[k]) > 1.0 + 1e-3
     assert not ok
@@ -676,6 +676,28 @@ def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
     assert np.array_equal(ran.vertices, stopped.vertices)
 
 
+def test_a_step_asks_for_gradients_once_at_its_start(monkeypatch):
+    # the gradients are needed only where the step starts; each trial of
+    # its line search and each restore iterate asks for values only
+    disk = flat_disk(1.0, n_angular=24, n_rings=6)
+    x = disk.vertices.copy()
+    x[:, 2] = 0.2 * (1.0 - (x[:, :2] ** 2).sum(1)) * (1.0 + 0.5 * x[:, 0])
+    mesh = disk.with_vertices(x)
+    state = solver.init_flow_state(mesh, solver.SolveConfig(
+        mode="dirichlet_cmc"), volume_target=0.3)
+    mesh, ok = solver._restore_volume(mesh, state)
+    assert ok
+    passes = _counted(monkeypatch, "_face_pass",
+                      lambda m, state, p, energy, grads: (m, grads))
+    for _ in range(5):
+        passes.clear()
+        start = mesh
+        mesh, diag = solver.flow_step(mesh, state)
+        assert diag["step"] > 0.0
+        assert [m is start for m, grads in passes if grads] == [True]
+        assert sum(not grads for _, grads in passes) >= 2
+
+
 def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
                                                           unit_sphere):
     # a free solve tries the measured stop on every cadence step that does
@@ -763,14 +785,14 @@ def test_height_law_energy_gradients_fd(rng):
     cfg = solver.SolveConfig(mode="prescribed_height_curvature",
                              params=params, substrate=sphere)
     state = solver.init_flow_state(mesh, cfg)
-    p = solver._at(mesh, state, c=True, g=True)
+    p = solver._at(mesh, state, grads=True)
     eps = 1e-4
     for _ in range(4):
         d = rng.normal(size=mesh.vertices.shape)
 
         def at(t):
             q = solver._at(mesh.with_vertices(mesh.vertices + t * d), state,
-                           energy=True, volume=True)
+                           energy=True)
             return np.array([q.energy, q.volume])
 
         fd = (8.0 * (at(eps) - at(-eps)) - (at(2 * eps) - at(-2 * eps))) / (12 * eps)
@@ -971,7 +993,7 @@ def test_flow_step_makes_one_solve(monkeypatch, rng, unit_sphere, case):
     out, diag = solver.flow_step(mesh, state)
     assert diag["step"] > 0.0
     assert solves == [(mesh.n_vertices, 6)]
-    assert solver._at(out, state, volume=True).volume == pytest.approx(
+    assert solver._at(out, state).volume == pytest.approx(
         state.volume_target, rel=1e-12)
 
 
@@ -1044,7 +1066,7 @@ def test_height_law_diagnostics_give_the_law_residual(unit_sphere):
     sink = io.StringIO()
     solver._write_diag(sink, diag, mesh, state)
     line = json.loads(sink.getvalue())
-    p = solver._at(mesh, state, c=True, g=True)
+    p = solver._at(mesh, state, grads=True)
     q, _ = solver._pointwise_multiplier(p.g, p.c, ~mesh.boundary_vertex_mask)
     assert line["maxHdev"] == float(np.abs(q - diag["multiplier"]).max())
     assert line["maxHdev"] != float(np.abs(q - q.mean()).max())
