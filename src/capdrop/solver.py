@@ -896,8 +896,12 @@ def solve_dirichlet_cmc(boundary: np.ndarray, init: TriMesh,
         raise ValueError(
             f"init mesh boundary has {len(bpts)} vertices, the prescribed "
             f"curve has {len(boundary)}; the init mesh must span the curve")
-    d2 = ((boundary[:, None, :] - bpts[None, :, :]) ** 2).sum(-1)
-    if math.sqrt(float(d2.min(axis=1).max())) > 1e-8 * scale:
+    # each prescribed point's nearest boundary vertex, in row blocks of
+    # about 2^15 pairs, so memory stays linear in the boundary's length
+    step = max(1, (1 << 15) // max(len(bpts), 1))
+    far = max(((boundary[s:s + step, None] - bpts) ** 2).sum(-1).min(1).max()
+              for s in range(0, len(boundary), step))
+    if math.sqrt(float(far)) > 1e-8 * scale:
         raise ValueError("init mesh boundary does not lie on the prescribed "
                          "curve; the init mesh must span it")
     return _solve(init, config, target_volume, target_mean_curvature)

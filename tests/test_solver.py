@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,22 @@ def test_solver_input_checks_name_the_fault(case):
     call, message = INPUT_CHECKS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_pinned_boundary_check_memory_is_linear(monkeypatch):
+    # the check once built (n_b, n_b, 3) temporaries: 128 MB at 2,000
+    # boundary vertices, before any solve started
+    monkeypatch.setattr(solver, "_solve", lambda *args: "solved")
+    disk = flat_disk(1.0, n_angular=2000, n_rings=3)
+    boundary = disk.vertices[disk.boundary_vertex_mask]
+    tracemalloc.start()
+    try:
+        out = solver.solve_dirichlet_cmc(boundary, disk, target_volume=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == "solved"
+    assert peak < 16 * 2 ** 20
 
 
 def test_solve_config_rejects_free_boundary_fields_when_pinned():
