@@ -11,8 +11,11 @@ its volume gradient, not with an estimator from this module.
 side only); it also yields values at boundary vertices, so
 verification-grade curvature laws are checked against it.
 Stencils are built for the requested vertices only, and all their fits are
-solved by one stacked SVD with the singular-value cutoff of
-``np.linalg.lstsq``.
+factored by one stacked QR.  A fit whose factor is certified well
+conditioned (``JET_QR_MARGIN``) is solved from it; the others, such as the
+rank-deficient apex of a cap meshed in rings, go through an SVD with the
+singular-value cutoff of ``np.linalg.lstsq``.  Either way the fit is the
+one ``lstsq`` returns, to round-off, and only ``numpy.linalg`` is used.
 
 Sign convention: with K the cotangent area-gradient vector at a vertex
 (pointing outward on a convex surface regardless of winding) and N the
@@ -40,6 +43,12 @@ JET_MIN_SAMPLES = 12
 
 # rings of a jet stencil before it grows to JET_MIN_SAMPLES
 JET_RINGS = 2
+
+# A jet fit is solved from its QR factor R when the bound
+# ||R||_F ||R^-1||_F >= kappa_2(R) times eps * max(m, 9) stays under this
+# margin: then lstsq keeps all nine singular values, with room to spare for
+# the rounding in R.  Other fits go through lstsq's SVD.
+JET_QR_MARGIN = 1e-3
 
 
 def _face_cotangents(mesh: TriMesh) -> np.ndarray:
@@ -151,12 +160,16 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     vertices whose rings are one-sided, it grows by one ring at a time until
     it does; the 9-unknown cubic is then over-determined with a margin.
     Stencils are built for the requested vertices only.  All fits are solved
-    at once: the column-scaled design matrices are zero-padded to the largest
-    stencil (zero rows leave a least-squares solution unchanged) and go
-    through one stacked SVD, whose singular values are cut below
-    ``eps * max(m, 9) * s_max`` for a stencil of m samples, the cutoff of
-    ``np.linalg.lstsq``.  A rank-deficient stencil so gets the minimum-norm
-    fit.
+    at once: the column-scaled design matrices, zero-padded to the largest
+    stencil (zero rows leave a least-squares solution unchanged) and with
+    the heights as a tenth column, go through one stacked QR, which yields
+    each fit's triangular factor R and Q^T w together.  A fit takes
+    ``R^-1 Q^T w`` when ``||R||_F ||R^-1||_F``, a bound on its condition
+    number, times ``eps * max(m, 9)`` for a stencil of m samples is below
+    ``JET_QR_MARGIN``: ``np.linalg.lstsq`` cuts singular values below
+    ``eps * max(m, 9) * s_max``, so it would keep all nine, and the margin
+    covers the rounding in R.  The other fits go through an SVD with that
+    cutoff, so a rank-deficient stencil still gets the minimum-norm fit.
 
     Returns
     -------
@@ -197,24 +210,52 @@ def jet_fit(mesh: TriMesh, indices: np.ndarray | None = None,
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
     t2 = cross3(n, t1)
     d = v[table] - v[centre][:, None, :]
-    x = np.einsum("rkj,rj->rk", d, t1)
-    y = np.einsum("rkj,rj->rk", d, t2)
-    w = np.einsum("rkj,rj->rk", d, n)
-    # cubic jet through the origin: 2 linear + 3 quadratic + 4 cubic terms
-    a_mat = np.stack([
-        x, y, x * x, x * y, y * y,
-        x ** 3, x * x * y, x * y * y, y ** 3,
-    ], axis=2)
+    # design matrix of the cubic jet through the origin (2 linear +
+    # 3 quadratic + 4 cubic terms, each divided by scale to its degree), with
+    # the heights w as a tenth column, so that the QR also yields Q^T w
+    design = np.empty((len(rows), m_max, 10))
+    x, y = design[:, :, 0], design[:, :, 1]
+    np.einsum("rkj,rj->rk", d, t1, out=x)
+    np.einsum("rkj,rj->rk", d, t2, out=y)
+    np.einsum("rkj,rj->rk", d, n, out=design[:, :, 9])
     scale = np.maximum(np.maximum(np.abs(x).max(axis=1),
                                   np.abs(y).max(axis=1)), 1e-30)[:, None]
+    np.multiply(x, x, out=design[:, :, 2])
+    np.multiply(x, y, out=design[:, :, 3])
+    np.multiply(y, y, out=design[:, :, 4])
+    np.multiply(design[:, :, 2], x, out=design[:, :, 5])
+    np.multiply(design[:, :, 2], y, out=design[:, :, 6])
+    np.multiply(design[:, :, 4], x, out=design[:, :, 7])
+    np.multiply(design[:, :, 4], y, out=design[:, :, 8])
     col_scale = scale ** np.array([1, 1, 2, 2, 2, 3, 3, 3, 3])
-    u, s, vt = np.linalg.svd(a_mat / col_scale[:, None, :],
-                             full_matrices=False)
-    cutoff = np.finfo(float).eps * np.maximum(m, 9) * s[:, 0]
-    keep = s > cutoff[:, None]
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    uw = np.einsum("rki,rk->ri", u, w) * s_inv
-    coef = np.einsum("rij,ri->rj", vt, uw) / col_scale
+    design[:, :, :9] /= col_scale[:, None, :]
+
+    r_full = np.linalg.qr(design, mode="r")
+    r, qtw = r_full[:, :9, :9], r_full[:, :9, 9]
+    cut = np.finfo(float).eps * np.maximum(m, 9)
+    # kappa_2(R) >= max|R_ii| / min|R_ii|, so a row failing this screen
+    # cannot pass the certificate below; the screen keeps singular R out
+    # of np.linalg.inv
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    qr_rows = diag.min(axis=1) * JET_QR_MARGIN > cut * diag.max(axis=1)
+    coef = np.empty((len(rows), 9))
+    r_screened = r[qr_rows]
+    r_inv = np.linalg.inv(r_screened)
+    kappa = (np.linalg.norm(r_screened, axis=(1, 2))
+             * np.linalg.norm(r_inv, axis=(1, 2)))
+    certified = kappa * cut[qr_rows] < JET_QR_MARGIN
+    coef[qr_rows] = np.einsum("rij,rj->ri", r_inv, qtw[qr_rows])
+    qr_rows[qr_rows] = certified
+    svd_rows = ~qr_rows
+    if svd_rows.any():
+        # lstsq's fit: singular values below eps * max(m, 9) * s_max are cut,
+        # so a rank-deficient stencil gets the minimum-norm fit
+        u, s, vt = np.linalg.svd(design[svd_rows, :, :9], full_matrices=False)
+        keep = s > (cut[svd_rows] * s[:, 0])[:, None]
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        uw = np.einsum("rki,rk->ri", u, design[svd_rows, :, 9]) * s_inv
+        coef[svd_rows] = np.einsum("rij,ri->rj", vt, uw)
+    coef /= col_scale
     fx, fy = coef[:, 0], coef[:, 1]
     fxx, fxy, fyy = 2.0 * coef[:, 2], coef[:, 3], 2.0 * coef[:, 4]
     e_ = 1.0 + fx * fx

@@ -6,7 +6,9 @@ chosen surface normal, so the winding fixes the orientation.  Construction
 validates manifoldness (every edge in at most two faces, no pinched boundary
 vertices), orientation consistency (no directed edge repeats), and rejects
 degenerate faces.  Boundary edges must chain into disjoint simple closed
-loops.
+loops.  The edge checks take one sort of the directed edge keys, which the
+boundary edges reuse; an edge on three faces repeats a direction, so only a
+mesh with a repeated key is examined further to name its fault.
 
 Derived quantities are cached in two dicts.  Position-dependent ones (face
 areas, normals) belong to one mesh and are dropped by
@@ -91,27 +93,14 @@ class TriMesh:
         if bad.size:
             raise DegenerateFaceError(f"zero-area faces: {bad[:8].tolist()}")
 
-        de = self.directed_edges
-        # duplicate directed edge => either >2 faces on the edge or same-direction traversal
-        order = np.lexsort((de[:, 1], de[:, 0]))
-        sde = de[order]
-        dup = np.all(sde[1:] == sde[:-1], axis=1)
-        # undirected multiplicity
-        ue = np.sort(de, axis=1)
-        uorder = np.lexsort((ue[:, 1], ue[:, 0]))
-        sue = ue[uorder]
-        same_run = np.all(sue[1:] == sue[:-1], axis=1)
-        # count run lengths of identical undirected edges
-        run_id = np.concatenate([[0], np.cumsum(~same_run)])
-        counts = np.bincount(run_id)
-        if counts.max(initial=0) > 2:
-            first = sue[np.searchsorted(run_id, np.argmax(counts >= 3))]
-            raise NonManifoldError(f"edge {tuple(first.tolist())} is shared by more than two faces")
-        if np.any(dup):
-            first = sde[1:][dup][0]
-            raise InconsistentOrientationError(
-                f"directed edge {tuple(first.tolist())} is traversed twice; flip the winding of one face"
-            )
+        # A directed edge that repeats is the only way to fail either check:
+        # an undirected edge on three or more faces is traversed at least
+        # twice in one direction.  So one sort of the directed edge keys
+        # decides; only a mesh with a repeat pays for the diagnosis that
+        # tells the two errors apart.
+        keys = self._sorted_edge_keys
+        if np.any(keys[1:] == keys[:-1]):
+            self._diagnose_repeated_edge()
         # boundary loops must be simple: each boundary vertex has exactly one
         # outgoing and one incoming boundary edge
         be = self.boundary_directed_edges
@@ -124,6 +113,27 @@ class TriMesh:
         loops = self.boundary_loops()
         logger.debug("mesh built: %d vertices, %d faces, %d boundary loop(s)",
                      len(self.vertices), len(self.faces), len(loops))
+
+    def _diagnose_repeated_edge(self) -> None:
+        """Raise for a directed edge that repeats: ``NonManifoldError`` when
+        an undirected edge lies on more than two faces, else
+        ``InconsistentOrientationError``."""
+        de = self.directed_edges
+        ue = np.sort(de, axis=1)
+        sue = ue[np.lexsort((ue[:, 1], ue[:, 0]))]
+        same_run = np.all(sue[1:] == sue[:-1], axis=1)
+        # run lengths of identical undirected edges
+        run_id = np.concatenate([[0], np.cumsum(~same_run)])
+        counts = np.bincount(run_id)
+        if counts.max() > 2:
+            first = sue[np.searchsorted(run_id, np.argmax(counts >= 3))]
+            raise NonManifoldError(f"edge {tuple(first.tolist())} is shared by more than two faces")
+        keys = self._sorted_edge_keys
+        first = keys[1:][keys[1:] == keys[:-1]][0]
+        edge = divmod(int(first), self.n_vertices)
+        raise InconsistentOrientationError(
+            f"directed edge {edge} is traversed twice; flip the winding of one face"
+        )
 
     # -- cached derived quantities ----------------------------------------------
 
@@ -146,13 +156,20 @@ class TriMesh:
         return self._topology["directed_edges"]
 
     @property
+    def _sorted_edge_keys(self) -> np.ndarray:
+        """Sorted keys ``u * n + v`` of the directed edges (u, v)."""
+        if "sorted_edge_keys" not in self._topology:
+            de = self.directed_edges
+            self._topology["sorted_edge_keys"] = np.sort(de[:, 0] * self.n_vertices + de[:, 1])
+        return self._topology["sorted_edge_keys"]
+
+    @property
     def boundary_directed_edges(self) -> np.ndarray:
         """Directed edges whose reverse is not present, in face winding order."""
         if "boundary_directed_edges" not in self._topology:
             de = self.directed_edges
-            n = self.n_vertices
-            keys = np.sort(de[:, 0] * n + de[:, 1])
-            rkeys = de[:, 1] * n + de[:, 0]
+            keys = self._sorted_edge_keys
+            rkeys = de[:, 1] * self.n_vertices + de[:, 0]
             # edge i has a reverse when its reversed key is among the keys
             pos = np.searchsorted(keys, rkeys)
             has_reverse = keys[np.minimum(pos, len(keys) - 1)] == rkeys

@@ -193,6 +193,36 @@ def test_jet_fit_matches_per_vertex_lstsq(mesh):
     assert np.allclose(normals, n_ref, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mesh", [
+    icosphere(3),
+    spherical_cap_mesh(Sphere((0.0, 0.0, 0.0), 1.0), np.array([0.0, 0.0, 1.0]),
+                       math.radians(60.0), n_angular=64, n_rings=32),
+    _perturbed_drop(),
+], ids=["icosphere3", "cap60", "perturbed_drop"])
+def test_jet_fit_sends_only_uncertified_stencils_to_the_svd(mesh, monkeypatch):
+    # fits whose QR factor is certified well conditioned are solved from it;
+    # the SVD sees exactly the stencils that lstsq finds rank-deficient (the
+    # cap's apex), and none on the sphere or the perturbed drop
+    sent = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        sent.extend(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    jet_fit(mesh)
+    monkeypatch.undo()
+    _, h_ref, ranks = _lstsq_jet_reference(mesh)
+    # each matrix sent is rank-deficient under lstsq's cutoff (its zero
+    # padding rows aside), and as many are sent as lstsq finds
+    for a in sent:
+        s = np.linalg.svd(a, compute_uv=False)
+        m = np.count_nonzero(np.any(a != 0.0, axis=1))
+        assert s[-1] <= np.finfo(float).eps * max(m, 9) * s[0]
+    assert len(sent) == np.count_nonzero(np.isfinite(h_ref) & (ranks < 9))
+
+
 def test_jet_fit_cap_covers_grown_and_rank_deficient_stencils():
     # the parametrised comparison above only means something on the cap if
     # the cap has both kinds of stencil: thin boundary rings that grow, and

@@ -47,11 +47,23 @@ def test_enclosed_volume_requires_closed():
         disk.enclosed_volume()
 
 
-def test_nonmanifold_edge_rejected():
+@pytest.mark.parametrize("extra", [[1, 2, 4], [2, 1, 4]],
+                         ids=["along_1_2", "along_2_1"])
+def test_nonmanifold_edge_rejected(extra):
+    # a third face on edge 1-2 repeats one of its directions whichever way
+    # it is wound; the edge count is diagnosed before the orientation
     v = np.vstack([TETRA_V, [[0.5, 0.5, 1.0]]])
-    f = np.vstack([TETRA_F, [[1, 2, 4]]])  # third face on edge 1-2
-    with pytest.raises(NonManifoldError):
+    f = np.vstack([TETRA_F, [extra]])
+    with pytest.raises(NonManifoldError, match=r"edge \(1, 2\) is shared"):
         TriMesh(v, f)
+
+
+def test_face_listed_twice_rejected():
+    # each edge of the lone triangle lies on two faces, traversed the same
+    # way by both
+    with pytest.raises(InconsistentOrientationError,
+                       match=r"directed edge \(0, 2\) is traversed twice"):
+        TriMesh(TETRA_V[:3], np.array([[0, 2, 1], [0, 2, 1]]))
 
 
 def test_inconsistent_orientation_rejected():

@@ -157,10 +157,10 @@ DEFERRED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
 
 
 def _loaded_after(statement):
-    """The DEFERRED_SCIPY modules and ``scipy.sparse.linalg`` that a fresh
-    interpreter has loaded after running ``statement``."""
+    """The DEFERRED_SCIPY modules, ``scipy.linalg`` and ``scipy.sparse.linalg``
+    that a fresh interpreter has loaded after running ``statement``."""
     probe = (f"import sys\n{statement}\n"
-             f"print(sorted(m for m in {DEFERRED_SCIPY + ('scipy.sparse.linalg',)!r}"
+             f"print(sorted(m for m in {DEFERRED_SCIPY + ('scipy.linalg', 'scipy.sparse.linalg')!r}"
              " if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
                           capture_output=True, text=True, check=True,
@@ -171,6 +171,8 @@ def _loaded_after(statement):
 def test_import_loads_only_what_a_solve_uses():
     # set-up pays for the integrator, the root finder and the k-d tree only
     # in the calls that use them; the solver's sparse LU stays at import so
-    # the first solve does not pay for it
+    # the first solve does not pay for it; the dense scipy.linalg comes with
+    # the sparse LU only, since the jet fit needs no more than numpy.linalg
     assert _loaded_after("import capdrop") == []
-    assert _loaded_after("import capdrop.solver") == ["scipy.sparse.linalg"]
+    assert _loaded_after("import capdrop.solver") == ["scipy.linalg",
+                                                      "scipy.sparse.linalg"]
