@@ -397,7 +397,7 @@ def _crosses(m: TriMesh, state: FlowState) -> bool:
 def _restore_volume(m: TriMesh, state: FlowState,
                     direction: tuple[np.ndarray, float] | None = None
                     ) -> tuple[TriMesh, bool]:
-    """Chord iteration along a fixed field onto the volume constraint;
+    """Secant iteration along a fixed field onto the volume constraint;
     returns the corrected mesh and whether it is feasible: the constraint
     met to ``RESTORE_REL_TOL`` within ``RESTORE_MAX_ITER`` moves, and no
     interior vertex past the substrate (``_crosses``).  An iterate that
@@ -406,10 +406,13 @@ def _restore_volume(m: TriMesh, state: FlowState,
     A mesh already on target is returned before any direction is derived.
     ``direction`` is the ``(u, slope)`` of ``_restore_direction``: a flow
     step passes the one it solved for at its start position, every other
-    caller has it derived at ``m``.  The slope stays fixed, so an iterate
-    asks only for its volume, and an iterate reached by a move asks for its
-    energy in the same face pass, where the line search's Armijo test finds
-    it.
+    caller has it derived at ``m``.  That slope takes the first move; each
+    later move takes the secant of the volume change the previous move
+    realized, so a slope that is off (a start position far from ``m``, a
+    coarse mesh's curvature) costs a move or two, not every move.  An
+    iterate asks only for its volume, and an iterate reached by a move asks
+    for its energy in the same face pass, where the line search's Armijo
+    test finds it.
 
     A free boundary moves along tangents of the substrate, which leave it
     at second order, so every iterate is snapped back onto it.  A pressure
@@ -421,12 +424,15 @@ def _restore_volume(m: TriMesh, state: FlowState,
         return m, False
     r = state.volume_target - _at(m, state).volume
     for _ in range(RESTORE_MAX_ITER):
-        m = m.with_vertices(
-            _snap_boundary(m.vertices + (r / slope) * u, m, state))
+        t = r / slope
+        m = m.with_vertices(_snap_boundary(m.vertices + t * u, m, state))
         p = _at(m, state, energy=True)
-        miss, r = abs(r), state.volume_target - p.volume
-        if _volume_met(m, state) or not abs(r) < miss:
+        r_prev, r = r, state.volume_target - p.volume
+        if _volume_met(m, state) or not abs(r) < abs(r_prev):
             break
+        # |r| < |r_prev|, so r_prev - r has the sign of r_prev and of t:
+        # the secant stays positive
+        slope = (r_prev - r) / t
     return m, _volume_met(m, state) and not _crosses(m, state)
 
 

@@ -715,6 +715,25 @@ def test_a_step_asks_for_gradients_once_at_its_start(monkeypatch):
         assert sum(not grads for _, grads in passes) >= 2
 
 
+def test_a_restore_meets_the_volume_from_a_slope_off_by_two(monkeypatch):
+    # the chord once kept its first slope for every move: twice the true
+    # slope halves each move, and 30 moves left this miss at 5.6e-12, over
+    # its 1e-12 tolerance; the secant of the volume change each move
+    # realized corrects the slope after one move
+    disk = flat_disk(1.0, n_angular=24, n_rings=6)
+    x = disk.vertices.copy()
+    x[:, 2] = 0.2 * (1.0 - (x[:, :2] ** 2).sum(1)) * (1.0 + 0.5 * x[:, 0])
+    mesh = disk.with_vertices(x)
+    state = solver.init_flow_state(mesh, solver.SolveConfig(
+        mode="dirichlet_cmc"), volume_target=0.3)
+    u, slope = solver._restore_direction(mesh, state)
+    passes = _counted(monkeypatch, "_face_pass", lambda *a: None)
+    out, ok = solver._restore_volume(mesh, state, (u, 2.0 * slope))
+    assert ok
+    assert solver._at(out, state).volume == pytest.approx(0.3, rel=1e-12)
+    assert len(passes) <= 5
+
+
 def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
                                                           unit_sphere):
     # a free solve tries the measured stop on every cadence step that does
