@@ -46,8 +46,9 @@ class SelfIntersectingPatchError(GeometryError):
 
 
 class WettingCalibrationError(GeometryError, ValueError):
-    """No pole gives the wetted patch a positive area, or the line-integral
-    patch area disagrees with the meshed closure."""
+    """No pole gives the wetted patch a positive area, or the drop region
+    that patch closes has a negative volume or does not wind a whole number
+    of times about the substrate's centre."""
 
 
 class DegenerateConfigurationError(GeometryError):

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .analytic import _drop_side
-from .closure import close_with_spherical_patch
 from .errors import LoopsNotInHemisphereError, WettingCalibrationError
 from .geometry import Sphere, cross3, open_hemisphere_pole, rotation_between
 from .mesh import TriMesh
-from .spatial import winding_numbers
+from .spatial import _point_triangle_distance_sq, winding_numbers
 
 __all__ = [
     "WettingOperator",
@@ -199,9 +198,17 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
     exterior ones.  Only the area-field pole needs calibrating: of the loops'
     max-margin pole (:func:`open_hemisphere_pole`) and its antipode, the
     valid one yields a positive patch area not exceeding the sphere area.
-    When a meshed closure exists it cross-checks the result: the closure of
-    the drop is the one with positive volume for an interior drop, and the
-    one that leaves out the substrate centre for an exterior drop.
+
+    Two closed-form tests check the result.  The drop region's volume, the
+    divergence volume of the faces plus the patch's ``volume_term``, is
+    positive.  The drop's faces and the wetted patch bound that region, so
+    their winding number at the substrate's centre is an integer: the
+    faces' solid-angle sum plus the patch's side_sign a / (4 pi rho^2), a
+    line integral, independent of the faces.  It may miss an integer by
+    the 5% of max(a, rho^2) that a meshed patch area once could, in winding
+    units.  Where the drop passes through the centre its winding there is a
+    half-integer, so a miss is an error only where no face comes within
+    1e-9 rho of the centre.
     """
     _require_origin_centered(sphere)
     loops = tuple(np.asarray(l) for l in mesh.boundary_loops())
@@ -230,23 +237,27 @@ def make_wetting_operator(mesh: TriMesh, sphere: Sphere,
             "area; is the mesh wound with normals out of the drop?")
     a_est, op = min(candidates, key=lambda pair: pair[0])
 
-    try:
-        region = close_with_spherical_patch(mesh, sphere, side="near")
-        # an exterior drop closed by the patch it does not wet encloses the
-        # substrate ball as well, again with positive volume
-        holds_other = (region.signed_volume < 0.0 if side == "interior" else
-                       abs(winding_numbers(sphere.center[None], region.mesh)[0]) > 0.5)
-        if holds_other:
-            region = close_with_spherical_patch(mesh, sphere, side="far")
-        area_true = region.patch_area()
-        if region.signed_volume < 0.0 or \
-                abs(a_est - area_true) > 0.05 * max(area_true, rho * rho):
-            raise WettingCalibrationError(
-                f"wetted-patch calibration failed: line-integral area "
-                f"{a_est:.6g} against meshed patch area {area_true:.6g}")
-    except LoopsNotInHemisphereError:
-        pass  # near-hemisphere patch: the closure cannot mesh it, skip the check
+    volume = mesh.divergence_volume() + op.volume_term(mesh.vertices)
+    if volume < 0.0:
+        raise WettingCalibrationError(
+            f"wetted-patch calibration failed: the drop region's volume "
+            f"{volume:.6g} is negative")
+    w = (winding_numbers(np.zeros((1, 3)), mesh)[0]
+         + side_sign * a_est / sphere_area)
+    if (abs(w - round(w)) > 0.05 * max(a_est, rho * rho) / sphere_area
+            and not _passes_through_origin(mesh, 1e-9 * rho)):
+        raise WettingCalibrationError(
+            f"wetted-patch calibration failed: the drop and its patch of "
+            f"area {a_est:.6g} wind {w:.6g} times about the substrate's "
+            f"centre, not a whole number")
     return op
+
+
+def _passes_through_origin(mesh: TriMesh, tol: float) -> bool:
+    """Whether a face of ``mesh`` comes within ``tol`` of the origin."""
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    return bool(_point_triangle_distance_sq(np.zeros_like(a), a, b, c).min()
+                <= tol * tol)
 
 
 # -- surface-side contributions (over the free-surface mesh itself) -----------

@@ -287,3 +287,30 @@ def test_calibration_failure_has_its_own_type(unit_sphere):
         make_wetting_operator(mesh, unit_sphere, side="exterior")
     assert isinstance(info.value, GeometryError)
     assert isinstance(info.value, ValueError)
+
+
+def test_a_loop_off_the_substrate_fails_the_winding_test(unit_sphere):
+    # the faces' solid angle at the centre hardly moves when the contact
+    # loop is pulled in to 0.9 rho, but the circulation does: the drop and
+    # its patch then wind -0.034 times about the centre, against a
+    # tolerance of 0.0105
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(110.0))
+    mesh = drop.free_surface_mesh(n_angular=48, n_rings=24)
+    v = mesh.vertices.copy()
+    v[mesh.boundary_vertex_mask] *= 0.9
+    with pytest.raises(WettingCalibrationError, match="not a whole number"):
+        make_wetting_operator(mesh.with_vertices(v), unit_sphere)
+
+
+def test_an_inside_out_drop_fails_the_volume_test(unit_sphere):
+    # the gamma = 150 deg drop reflected through its contact plane keeps its
+    # winding, so it bounds the region with the patch inside out
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(150.0))
+    mesh = drop.free_surface_mesh(n_angular=48, n_rings=24)
+    inner = ~mesh.boundary_vertex_mask
+    z0 = mesh.vertices[~inner, 2].mean()
+    v = mesh.vertices.copy()
+    v[inner, 2] = 2.0 * z0 - v[inner, 2]
+    with pytest.raises(WettingCalibrationError, match="volume .* is negative"):
+        make_wetting_operator(mesh.with_vertices(v), unit_sphere,
+                              side="interior")
