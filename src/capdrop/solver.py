@@ -51,10 +51,30 @@ is judged against H.  Past ``init_flow_state`` the flow reads the problem
 from its state alone (see ``FlowState``).
 
 ``SolveConfig`` holds what a caller may set.  Step sizes, tolerances, the
-quality floor and the free boundary's remesh cadence are the module
-constants below; the remesher's edge length, the Sobolev length (a quarter
-of the bounding-box diagonal) and the H tolerance scale come from the init
-mesh and are fixed for the solve.
+quality floor and the free boundary's plateau rule are the module constants
+below; the remesher's edge length, the Sobolev length (a quarter of the
+bounding-box diagonal) and the H tolerance scale come from the init mesh
+and are fixed for the solve.
+
+A pinned solve tries its "measured" stop after every step and remeshes only
+when a face falls under the quality floor.  A free contact line drifts at
+fixed connectivity, and once the flow's residual plateaus only a remesh
+lowers its error.  So a free solve remeshes at each plateau of the residual
+its steps compute anyway (``_plateau``), for as long as the remesh before
+that plateau lowered the contact angle spread by more than ``SETTLED_FRAC``
+of ``ANGLE_TOL`` (``_helped``).  At the first plateau where it did not, the
+solve stops "measured" if the measurement passes, and "plateau" if the H
+spread passes but the angles fail.  If the H spread is still over its
+tolerance, the flow goes on and tests the measurement after every step, as
+a pinned solve does, with a remesh at a later plateau only once the mesh
+has drifted a fifth of an edge.  Past the remeshes that helped, a
+measurement runs ``contact_angle`` only where its H test passes, so a free
+solve runs it once per such remesh, once where they stop helping and once
+at its stop.
+
+``ANGLE_TOL`` and ``H_DEV_FACTOR`` are report thresholds: they decide the
+"measured" stop and ``converged``.  They are not accuracy bounds; an oracle
+judges a solve's surface by closed-form tolerances of its own.
 
 Mean curvature is reported in the toward-the-drop convention (a convex
 drop has H > 0); the Lagrange multiplier is reported as lambda/2, which
@@ -97,11 +117,13 @@ INITIAL_STEP = 1.0
 BACKTRACK_FACTOR = 0.5
 MIN_STEP = 1e-14
 GRAD_TOL_FACTOR = 1e-8         # stop when |proj grad| <= factor * area
-H_DEV_FACTOR = 1e-3            # H constancy: factor * (|H| + H scale)
-ANGLE_TOL = math.radians(1.0)
+H_DEV_FACTOR = 1e-3            # report threshold: H spread <= factor * (|H| + H scale)
+ANGLE_TOL = math.radians(1.0)  # report threshold: contact angle spread and mean miss
 MULTIPLIER_TOL_FACTOR = 5e-4   # free curvature targets: factor * (|H| + H scale)
 QUALITY_FLOOR = 0.08           # a step below this quality asks for a remesh
-REMESH_EVERY = 25              # free boundaries: remesh and stop-check cadence
+PLATEAU_WINDOW = 4             # free boundaries: the last positions a plateau reads
+PLATEAU_DROP = 0.5             # plateau: window's least residual > this * least before
+SETTLED_FRAC = 0.1             # a remesh helps: angle spread falls > this * ANGLE_TOL
 RESTORE_REL_TOL = 1e-12        # volume restore: factor * max(1, |target|)
 RESTORE_MAX_ITER = 30          # chord iterations of one volume restore
 
@@ -111,10 +133,12 @@ class SolveConfig:
     """Knobs of one solve; every field has a sane default except ``mode``.
 
     ``params`` and ``substrate`` are required outside ``dirichlet_cmc``,
-    which rejects them.  A free boundary remeshes and tries the early
-    "measured" stop every ``REMESH_EVERY`` steps; a pinned boundary tries
-    that stop after every step and remeshes only when a face falls under the
-    quality floor.  ``diagnostics_path`` gets one JSON line per flow step.
+    which rejects them.  A free boundary remeshes at the plateaus of the
+    flow's residual while that lowers its contact angle spread, and then
+    stops as the module docstring says; a pinned boundary tries the early
+    "measured" stop after every step and remeshes only when a face falls
+    under the quality floor.  ``diagnostics_path`` gets one JSON line per
+    flow step.
     Capillary mode needs kappa = 0 and the height law kappa > 0; the height
     law takes a volume target only: its law constant mu fixes no closed-form
     volume.
@@ -166,10 +190,13 @@ class SolveReport:
     the area).  ``multiplier`` (lambda/2, plus a pinned target's H) and
     ``grad_norm`` (the projected residual's norm) are those of the returned
     mesh, as ``flow_step`` would give them there.  ``message`` names the
-    stop: "measured", "gradient" (a step found the residual under its
-    threshold and did not move) or "collapsed" (no descent step), which
-    converge if the deviation fields passed their tolerances, or "budget"
-    or "runaway" (a pinned target's area passed that of the sphere of
+    stop: "measured" (the measurement passed; on a free boundary, once its
+    remeshes stopped lowering the contact angle spread), "gradient" (a step
+    found the residual under its threshold and did not move) or
+    "collapsed" (no descent step), which converge if the deviation fields
+    passed their tolerances, or "budget", "plateau" (a free solve's contact
+    angles failed where neither the flow nor a remesh lowered them any
+    more) or "runaway" (a pinned target's area passed that of the sphere of
     curvature H), which do not.
     A free-boundary curvature target whose final multiplier is off H by more
     than ``MULTIPLIER_TOL_FACTOR`` does not converge either, and its message
@@ -230,16 +257,18 @@ class _Position:
     ``invalidate_geometry`` drops it) and carries the key of the flow state
     that computed it: a mesh evaluated by one solve never serves another
     solve's operator, gamma or kappa.  Only scalars, vertex gradients and
-    ``_measure``'s result are kept, never the per-face arrays of the pass.
+    the results of ``_residual`` and ``_measure`` are kept, never the
+    per-face arrays of the pass.
     """
 
     __slots__ = ("key", "area", "energy", "volume", "quality", "c", "g",
-                 "wet", "wet_grad", "measured")
+                 "wet", "wet_grad", "residual", "measured")
 
     def __init__(self, key):
         self.key = key
         self.area = self.energy = self.volume = self.quality = None
         self.c = self.g = self.wet = self.wet_grad = None
+        self.residual = None  # _residual's tuple
         self.measured = None  # _measure's dict
 
 
@@ -491,16 +520,21 @@ def _residual(m: TriMesh, state: FlowState):
     """The projected KKT residual at ``m`` from the gradients cached there:
     the projected energy and volume gradients, the multiplier (lambda/2,
     plus a pinned target's H) and the residual norm, |g_p - lambda c_p|, or
-    |g_p| under a pressure, whose flow has no constraint."""
+    |g_p| under a pressure, whose flow has no constraint.  Kept on the
+    position, like its gradients."""
     p = _at(m, state, grads=True)
-    g_proj = _project_rows(p.g, m, state)
-    c_proj = _project_rows(p.c, m, state)
-    cc = float((c_proj * c_proj).sum())
-    lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
-    h = state.pressure
-    grad_norm = float(np.linalg.norm(g_proj if h is not None
-                                     else g_proj - lam * c_proj))
-    return g_proj, c_proj, 0.5 * lam + (h or 0.0), grad_norm
+    if p.residual is None:
+        g_proj = _project_rows(p.g, m, state)
+        c_proj = _project_rows(p.c, m, state)
+        cc = float((c_proj * c_proj).sum())
+        lam = float((g_proj * c_proj).sum()) / cc if cc > 0 else 0.0
+        h = state.pressure
+        grad_norm = float(np.linalg.norm(g_proj if h is not None
+                                         else g_proj - lam * c_proj))
+        for arr in (g_proj, c_proj):
+            arr.flags.writeable = False
+        p.residual = g_proj, c_proj, 0.5 * lam + (h or 0.0), grad_norm
+    return p.residual
 
 
 def _pointwise_multiplier(g: np.ndarray, c: np.ndarray,
@@ -700,9 +734,36 @@ def _write_diag(sink, diag: dict, mesh: TriMesh, state: FlowState) -> None:
                           default=float) + "\n")
 
 
+def _plateau(residuals: list) -> bool:
+    """Whether the flow has stalled: the least residual of the last
+    ``PLATEAU_WINDOW`` positions is above ``PLATEAU_DROP`` times the least
+    of the positions before them, since the last remesh."""
+    w = PLATEAU_WINDOW
+    return (len(residuals) > w
+            and min(residuals[-w:]) > PLATEAU_DROP * min(residuals[:-w]))
+
+
+def _helped(before: dict | None, after: dict) -> bool:
+    """Whether the remesh between two plateau measurements helped: it
+    lowered the contact angle spread by more than ``SETTLED_FRAC`` of
+    ``ANGLE_TOL``.  The first plateau has no remesh before it, and asks for
+    one.  The H spread rings with the periodic half step, so between two
+    plateaus its change is mostly that ringing; it enters only through the
+    measurement's pass."""
+    return (before is None or before["angle_dev"] - after["angle_dev"]
+            > SETTLED_FRAC * ANGLE_TOL)
+
+
 def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
               sink=None) -> tuple[TriMesh, str]:
-    """Drive flow_step to a stop; returns the mesh and the stop's name."""
+    """Drive flow_step to a stop; returns the mesh and the stop's name.
+
+    A face of the accepted position under the quality floor asks for a
+    remesh once the mesh has moved a fifth of an edge since the last (or a
+    rejected) one; at the budget's end no remesh runs.  A pinned solve
+    tries the "measured" stop after every step that does not remesh.  A
+    free solve remeshes at the plateaus of its residual while that helps,
+    and then stops or flows on, as the module docstring says."""
     budget = config.max_iterations
     x = _snap_boundary(mesh.vertices.copy(), mesh, state)
     mesh, ok = _restore_volume(mesh.with_vertices(x), state)
@@ -717,31 +778,50 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     stop = "budget"
     prev_e = None
     pinned = state.operator is None
+    residuals = []    # free: the residual of each position since a remesh
+    decided = None    # free: the measurement that asked for the last remesh
+    settled = False   # free: a remesh has stopped lowering the angle spread
     while True:
-        cadence = state.iteration > 0 and state.iteration % REMESH_EVERY == 0
-        # a face of the accepted position under the quality floor asks for
-        # a remesh; a free contact line drifts at fixed connectivity, so a
-        # free solve also remeshes on the cadence (on a pinned one that only
-        # raised the pointwise H error).  A remesh waits until the mesh has
-        # moved a fifth of an edge since the last (or a rejected) one; at
-        # the budget's end no remesh runs
-        poor = (state.iteration > 0
-                and _at(mesh, state, energy=True).quality < QUALITY_FLOOR)
-        if (state.iteration < budget and (poor or (cadence and not pinned))
-                and state.disp_since_remesh > 0.2 * state.target_edge):
-            mesh = _do_remesh(mesh, state)
-            prev_e = None
-        elif state.iteration > 0 and (pinned or cadence):
+        remesh = (0 < state.iteration < budget
+                  and _at(mesh, state, energy=True).quality < QUALITY_FLOOR
+                  and state.disp_since_remesh > 0.2 * state.target_edge)
+        if not (pinned or remesh):
+            # the gradients here are the next step's, so the residual costs
+            # no face pass
+            residuals.append(_residual(mesh, state)[3])
+            plateau = _plateau(residuals)
+            if settled or plateau:
+                decision = _measure(mesh, state, angles=not settled)
+                if not settled and _helped(decided, decision):
+                    remesh, decided = True, decision
+                elif decision["pass"]:
+                    stop = "measured"
+                    break
+                elif decision["h_dev"] <= decision["h_tol"]:
+                    # the angles fail, and neither the flow nor a remesh
+                    # moves them any more
+                    stop = "plateau"
+                    break
+                else:
+                    # the H spread is over its tolerance: the flow goes on
+                    # lowering it, and a remesh joins in once the mesh has
+                    # drifted a fifth of an edge
+                    settled = True
+                    remesh = (plateau and state.iteration < budget and
+                              state.disp_since_remesh > 0.2 * state.target_edge)
+        elif pinned and not remesh and state.iteration > 0:
             # see if the measured physics already passes before grinding out
-            # the last tangential modes.  A pinned solve tries after every
-            # step: the check reads the gradients the next step computes
-            # here anyway.  A free one tries on each cadence step that does
-            # not remesh
+            # the last tangential modes; the check reads the gradients the
+            # next step computes here anyway
             if _measure(mesh, state)["pass"]:
                 stop = "measured"
                 break
         if state.iteration >= budget:
             break
+        if remesh:
+            mesh = _do_remesh(mesh, state)
+            prev_e = None
+            residuals = []
         start = mesh
         try:
             mesh, diag = flow_step(mesh, state)
@@ -766,7 +846,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     return mesh, stop
 
 
-def _measure(mesh: TriMesh, state: FlowState) -> dict:
+def _measure(mesh: TriMesh, state: FlowState, angles: bool = True) -> dict:
     """Equilibrium measurement against which the converged flag is judged.
 
     Mean curvature comes from the variational estimator (energy gradient
@@ -778,38 +858,42 @@ def _measure(mesh: TriMesh, state: FlowState) -> dict:
     kappa z, so the deviation is the law residual about the position's own
     multiplier, the law constant mu; h_mean still reports the achieved mean
     of H itself.  Under a pinned target's pressure the deviation is taken
-    about that H.  The result is kept on the position, so the stop check,
+    about that H.  On a free boundary the contact angles pass when both
+    their spread and their mean's miss of gamma are within ``ANGLE_TOL``;
+    ``contact_angle`` runs when ``angles`` asks for them or the H test
+    passes, and until then the angle fields are None and the measurement
+    does not pass.  The result is kept on the position, so the stop check,
     the diagnostics line and the report there share it (callers must not
     change it).
     """
     p = _at(mesh, state, grads=True)
-    if p.measured is not None:
-        return p.measured
-    interior = ~mesh.boundary_vertex_mask
-    q, ok = _pointwise_multiplier(p.g, p.c, interior)
-    if q.size == 0:
-        h_dev = h_mean = math.nan
-    elif state.kappa != 0.0:
-        h_dev = float(np.abs(q - _residual(mesh, state)[2]).max())
-        h_mean = float((q + state.kappa * mesh.vertices[interior, 2][ok]).mean())
-    elif state.pressure is not None:
-        h_dev = float(np.abs(q).max())
-        h_mean = float(q.mean()) + state.pressure
-    else:
-        h_mean = float(q.mean())
-        h_dev = float(np.abs(q - h_mean).max())
-    h_tol = H_DEV_FACTOR * (abs(h_mean) + state.h_scale)
-    passed = h_dev <= h_tol
-    angle_mean = angle_dev = None
+    m = p.measured
+    if m is None:
+        interior = ~mesh.boundary_vertex_mask
+        q, ok = _pointwise_multiplier(p.g, p.c, interior)
+        if q.size == 0:
+            h_dev = h_mean = math.nan
+        elif state.kappa != 0.0:
+            h_dev = float(np.abs(q - _residual(mesh, state)[2]).max())
+            h_mean = float((q + state.kappa
+                            * mesh.vertices[interior, 2][ok]).mean())
+        elif state.pressure is not None:
+            h_dev = float(np.abs(q).max())
+            h_mean = float(q.mean()) + state.pressure
+        else:
+            h_mean = float(q.mean())
+            h_dev = float(np.abs(q - h_mean).max())
+        h_tol = H_DEV_FACTOR * (abs(h_mean) + state.h_scale)
+        m = p.measured = {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
+                          "angle_mean": None, "angle_dev": None,
+                          "pass": h_dev <= h_tol}
     op = state.operator
-    if op is not None:
+    if op is not None and m["angle_dev"] is None and (angles or m["pass"]):
         rep = contact_angle(mesh, op.sphere, side=op.side)
-        angle_mean, angle_dev = rep.mean, rep.max_deviation
-        passed = passed and angle_dev <= ANGLE_TOL
-    p.measured = {"h_mean": h_mean, "h_dev": h_dev, "h_tol": h_tol,
-                  "angle_mean": angle_mean, "angle_dev": angle_dev,
-                  "pass": passed}
-    return p.measured
+        m.update({"angle_mean": rep.mean, "angle_dev": rep.max_deviation,
+                  "pass": (m["pass"] and rep.max_deviation <= ANGLE_TOL
+                           and abs(rep.mean - state.gamma) <= ANGLE_TOL)})
+    return m
 
 
 def _config_for(mode: str, config: SolveConfig | None,

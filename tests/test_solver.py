@@ -636,8 +636,8 @@ def test_a_remesh_the_remesher_rejects_waits_for_displacement(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
-                                                    unit_sphere):
+def test_only_free_boundaries_remesh_at_a_plateau(monkeypatch, rng,
+                                                  unit_sphere):
     # the 1071-vertex disk to the H = 2/3 cap: a cadence remesh at step 25
     # once held its stop back to step 50 and ended at jet h_p90 0.055, and
     # a stop tried on the cadence alone held it back to step 25
@@ -656,17 +656,19 @@ def test_only_free_boundaries_remesh_on_the_cadence(monkeypatch, rng,
     h = -jet_mean_curvature(mesh)[~mesh.boundary_vertex_mask]
     assert np.quantile(np.abs(h - cap.mean_curvature), 0.9) <= 0.02
 
-    # a free contact line keeps the cadence: with a cadence longer than
-    # its budget this solve does not remesh at all
+    # a free contact line remeshes at its residual's plateau: with a plateau
+    # window longer than its budget this solve neither remeshes nor stops
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
                              substrate=unit_sphere, max_iterations=40)
-    for every, remeshes in ((10, True), (41, False)):
+    for window, remeshes, stop in ((solver.PLATEAU_WINDOW, True, "measured"),
+                                   (41, False, "budget")):
         calls.clear()
-        monkeypatch.setattr(solver, "REMESH_EVERY", every)
-        solver.solve_capillary(unit_sphere, params, init, cfg)
+        monkeypatch.setattr(solver, "PLATEAU_WINDOW", window)
+        _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
         assert bool(calls) == remeshes
+        assert report.message == stop
 
 
 def test_the_pinned_stop_check_costs_no_face_pass(monkeypatch):
@@ -734,13 +736,15 @@ def test_a_restore_meets_the_volume_from_a_slope_off_by_two(monkeypatch):
     assert len(passes) <= 5
 
 
-def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
-                                                          unit_sphere):
-    # a free solve tries the measured stop on every cadence step that does
-    # not remesh; this one runs to its budget, remeshing on the cadence and
-    # on the quality trigger
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
-    tries = _counted(monkeypatch, "_measure", lambda m, state:
+def test_free_boundaries_measure_at_plateaus_then_after_every_step(
+        monkeypatch, unit_sphere):
+    # while its remeshes help, a free solve measures only at the plateaus
+    # of its residual, each of which remeshes; it once measured on every
+    # cadence step instead.  Here the second plateau finds the remesh did
+    # not help and the H spread over its tolerance, so from there the solve
+    # measures after every step until one passes.  The report reads the
+    # stop's measurement
+    tries = _counted(monkeypatch, "_measure", lambda m, state, *a:
                      state.iteration)
     remeshes = _counted(monkeypatch, "_do_remesh", lambda m, state:
                         state.iteration)
@@ -750,33 +754,146 @@ def test_free_boundaries_try_the_stop_on_the_cadence_only(monkeypatch,
     cfg = solver.SolveConfig(mode="capillary", params=params,
                              substrate=unit_sphere, max_iterations=120)
     _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
-    assert report.message == "budget"
-    assert any(step % 10 for step in remeshes)
-    # the last measurement is the report's
-    assert tries[-1] == 120
-    assert tries[:-1] == [step for step in range(10, 121, 10)
-                          if step not in remeshes]
+    assert report.message == "measured" and report.converged
+    assert report.iterations < 120
+    k = len(remeshes)
+    assert k >= 1 and tries[:k] == remeshes
+    assert tries[-1] == report.iterations
+    assert tries[k:-1] == list(range(tries[k], report.iterations + 1))
 
 
-def test_a_free_budget_that_ends_on_a_cadence_step_tries_the_stop(
-        monkeypatch, unit_sphere):
-    # at the budget's end no remesh runs, so the first cadence step tries
-    # the stop; the free stop once waited for 2 * REMESH_EVERY steps, and
-    # this solve ended on "budget"
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
-    _measure_passes(monkeypatch, True)
+def test_a_free_budget_that_ends_on_a_plateau_tries_the_stop(unit_sphere):
+    # at the budget's end no remesh runs, but the plateau there is still
+    # measured: a budget that ends where the solve stops "measured" ends
+    # the same way
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+
+    def solve(budget):
+        cfg = solver.SolveConfig(mode="capillary", params=params,
+                                 substrate=unit_sphere,
+                                 max_iterations=budget)
+        return solver.solve_capillary(unit_sphere, params, init.copy(), cfg)
+
+    long, r_long = solve(2000)
+    short, r_short = solve(r_long.iterations)
+    assert r_short.message == r_long.message == "measured"
+    assert r_short.converged and r_short.iterations == r_long.iterations
+    assert np.array_equal(short.vertices, long.vertices)
+
+
+@pytest.mark.parametrize("gamma_deg, kappa", [(60.0, 0.0), (80.0, 0.0),
+                                              (70.0, 0.5)])
+def test_a_free_stop_follows_a_remesh(monkeypatch, unit_sphere, gamma_deg,
+                                      kappa):
+    # the first plateau always asks for a remesh, so a free solve that
+    # stops "measured" or "plateau" has tried one.  It runs contact_angle
+    # once per remesh, once at the plateau where the remeshes stopped
+    # helping, when the flow goes on from there, and once at its stop
+    remeshes = _remesh_calls(monkeypatch)
+    angles = _counted(monkeypatch, "contact_angle", lambda m, *a: m)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=math.radians(gamma_deg), kappa=kappa,
+                             target_volume=drop.volume)
+    mode = "capillary" if kappa == 0.0 else "prescribed_height_curvature"
+    cfg = solver.SolveConfig(mode=mode, params=params, substrate=unit_sphere,
+                             max_iterations=200)
+    solve = (solver.solve_capillary if kappa == 0.0
+             else solver.solve_prescribed_height_curvature)
+    _, report = solve(unit_sphere, params, init, cfg)
+    assert report.message in ("measured", "plateau")
+    assert len(remeshes) >= 1
+    assert len(angles) <= len(remeshes) + 2
+
+
+@pytest.mark.parametrize("gamma_deg, volume", [(70.0, 0.3), (110.0, 0.05),
+                                                (150.0, 0.3)])
+def test_exact_starts_converge(monkeypatch, unit_sphere, gamma_deg, volume):
+    # the closed-form caps meshed with 48 contact samples; the latter two
+    # stop remeshing with the H spread over its tolerance, and the flow
+    # goes on, testing the measurement after every step, until it passes
+    remeshes = _remesh_calls(monkeypatch)
+    angles = _counted(monkeypatch, "contact_angle", lambda m, *a: m)
+    params = CapillaryParams(gamma=math.radians(gamma_deg),
+                             target_volume=volume)
+    init = solver._default_capillary_init(unit_sphere, params, 48)
+    _, report = solver.solve_capillary(unit_sphere, params, init)
+    assert report.message == "measured" and report.converged
+    assert report.iterations <= 200
+    assert 1 <= len(remeshes)
+    # one more where the remeshes stopped helping, when the flow went on
+    assert len(angles) <= len(remeshes) + 2
+
+
+def test_angles_that_no_longer_move_stop_on_plateau(monkeypatch,
+                                                    unit_sphere):
+    # under a 3e-4 rad angle tolerance the small drop's 6.5e-4 spread
+    # fails while its H spread passes; once a remesh no longer lowers the
+    # spread, neither the flow nor another remesh will, and the solve ends
+    # unconverged instead of running out its budget
+    monkeypatch.setattr(solver, "ANGLE_TOL", 3e-4)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
-                             substrate=unit_sphere, max_iterations=10)
+                             substrate=unit_sphere, max_iterations=200)
     _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
-    assert (report.message, report.iterations) == ("measured", 10)
+    assert report.message == "plateau" and not report.converged
+    assert report.iterations < 200
+    assert report.h_max_deviation <= solver.H_DEV_FACTOR * (
+        abs(report.h_mean) + 1.0)
+    assert report.contact_angle_max_deviation > solver.ANGLE_TOL
+
+
+def test_a_rejected_remesh_counts_as_one_that_did_not_help(monkeypatch,
+                                                          unit_sphere):
+    # a remesh the remesher rejects leaves the mesh as it was; the next
+    # plateau then finds that it did not help and stops, so the solve names
+    # its stop instead of asking again at every plateau to its budget
+    calls = []
+
+    def rejected(mesh, *args, **kwargs):
+        calls.append(mesh)
+        return mesh, 0
+
+    monkeypatch.setattr(solver, "_remesh_with_stats", rejected)
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    cfg = solver.SolveConfig(mode="capillary", params=params,
+                             substrate=unit_sphere, max_iterations=200)
+    _, report = solver.solve_capillary(unit_sphere, params, init, cfg)
+    assert report.message == "measured" and report.converged
+    assert len(calls) == 1
+
+
+def test_uniform_angles_off_gamma_do_not_converge(monkeypatch, unit_sphere):
+    # the measurement once judged the contact angle's spread only: the
+    # converged gamma = 70 deg drop, judged at gamma = 73 deg, has angles
+    # within 1 deg of each other but 3 deg off gamma, and passed
+    drop, init = _small_drop()
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
+    mesh, report = solver.solve_capillary(unit_sphere, params, init)
+    assert report.converged
+    assert report.contact_angle_max_deviation <= solver.ANGLE_TOL
+
+    def fixed_point(mesh, state):
+        state.iteration += 1
+        return mesh, {"step": 0.0, "energy": 0.0, "gradNorm": 0.0}
+
+    monkeypatch.setattr(solver, "flow_step", fixed_point)
+    for gamma_deg, converged in ((70.0, True), (73.0, False)):
+        params = CapillaryParams(gamma=math.radians(gamma_deg),
+                                 target_volume=drop.volume)
+        _, judged = solver.solve_capillary(unit_sphere, params, mesh.copy())
+        assert judged.message == "gradient"
+        assert judged.converged == converged
+        assert (judged.contact_angle_max_deviation
+                == report.contact_angle_max_deviation)
+    assert abs(judged.contact_angle_mean - math.radians(73.0)) > math.radians(1.0)
 
 
 def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
     # the stop check and the report once measured the final mesh apart, and
     # so ran contact_angle on it twice
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     meshes = _counted(monkeypatch, "contact_angle", lambda m, *a: m)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
@@ -789,8 +906,7 @@ def test_a_measured_stop_measures_its_mesh_once(monkeypatch, unit_sphere):
 
 @pytest.mark.parametrize("mode, solve", FREE_BOUNDARY_SOLVERS,
                          ids=[mode for mode, _ in FREE_BOUNDARY_SOLVERS])
-def test_free_boundary_entry_points(monkeypatch, tmp_path, mode, solve):
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
+def test_free_boundary_entry_points(tmp_path, mode, solve):
     sphere = Sphere((0.0, 0.0, 0.0), 1.3)
     drop = interior_drop_cap(sphere.radius, math.radians(55.0),
                              math.radians(70.0))
@@ -841,11 +957,9 @@ def _same_result(a, b):
             and repr(a[1]) == repr(b[1]))
 
 
-def test_init_mesh_values_are_not_shared_between_solves(monkeypatch,
-                                                        unit_sphere):
+def test_init_mesh_values_are_not_shared_between_solves(unit_sphere):
     # the flow caches its values on every mesh it evaluates, the caller's
     # init included; a second solve with another gamma must not read them
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
     init = drop.free_surface_mesh(16)
 
@@ -877,11 +991,10 @@ def _small_drop():
     return drop, drop.free_surface_mesh(24)
 
 
-def test_height_law_stop_and_report_agree(monkeypatch, unit_sphere):
+def test_height_law_stop_and_report_agree(unit_sphere):
     # the early "measured" stop once judged the law about the mean of the
     # pointwise ratio and the report about the multiplier: this solve
     # stopped at step 20 and reported converged=False
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
     drop, init = _small_drop()
     params = CapillaryParams(gamma=math.radians(70.0), kappa=0.5,
                              target_volume=drop.volume)
@@ -898,10 +1011,9 @@ def test_height_law_stop_and_report_agree(monkeypatch, unit_sphere):
 def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
                                                      unit_sphere):
     # remeshes of this coarse drop leave boundary loops the wetting operator
-    # cannot be built on (here WettingCalibrationError, from step 60 on); a
+    # cannot be built on (here WettingCalibrationError, from step 27 on); a
     # failed rebuild once raised out of the solve
-    monkeypatch.setattr(solver, "REMESH_EVERY", 10)
-    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(70.0))
+    drop = interior_drop_cap(1.0, math.radians(55.0), math.radians(110.0))
     init = drop.free_surface_mesh(12)
     rejected = []
     build = solver.make_wetting_operator
@@ -914,8 +1026,7 @@ def test_remesh_with_unwettable_boundary_is_rejected(monkeypatch,
             raise
 
     monkeypatch.setattr(solver, "make_wetting_operator", counting_build)
-    params = CapillaryParams(gamma=math.radians(70.0),
-                             target_volume=drop.volume)
+    params = CapillaryParams(gamma=drop.gamma, target_volume=drop.volume)
     cfg = solver.SolveConfig(mode="capillary", params=params,
                              substrate=unit_sphere, max_iterations=80)
     mesh, report = solver.solve_capillary(unit_sphere, params, init, cfg)
