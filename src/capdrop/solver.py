@@ -782,9 +782,9 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
     decided = None    # free: the measurement that asked for the last remesh
     settled = False   # free: a remesh has stopped lowering the angle spread
     while True:
-        remesh = (0 < state.iteration < budget
-                  and _at(mesh, state, energy=True).quality < QUALITY_FLOOR
-                  and state.disp_since_remesh > 0.2 * state.target_edge)
+        drifted = state.disp_since_remesh > 0.2 * state.target_edge
+        remesh = (0 < state.iteration < budget and drifted
+                  and _at(mesh, state, energy=True).quality < QUALITY_FLOOR)
         if not (pinned or remesh):
             # the gradients here are the next step's, so the residual costs
             # no face pass
@@ -807,8 +807,7 @@ def _run_flow(mesh: TriMesh, config: SolveConfig, state: FlowState,
                     # lowering it, and a remesh joins in once the mesh has
                     # drifted a fifth of an edge
                     settled = True
-                    remesh = (plateau and state.iteration < budget and
-                              state.disp_since_remesh > 0.2 * state.target_edge)
+                    remesh = plateau and drifted and state.iteration < budget
         elif pinned and not remesh and state.iteration > 0:
             # see if the measured physics already passes before grinding out
             # the last tangential modes; the check reads the gradients the
