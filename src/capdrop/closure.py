@@ -3,6 +3,14 @@
 A surface whose boundary loops sit on a sphere can be closed by filling each
 loop with a triangulated patch of the sphere.  The closed result bounds the
 region used for volume bookkeeping and for inside/outside tests.
+
+The patch is graded to the loop's resolution: rings about the patch apex
+are spaced by the surface's mean boundary edge, and each ring's vertex count
+follows its circumference (the loop's k times sin(t theta) / sin(theta) at
+polar fraction t, at least 6 and at most k), so its edges stay near the
+loop's instead of crowding toward the apex.  Containment takes the winding
+number over the closed mesh and an on-boundary test that culls faces by
+point-vertex distances, with no search structure.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from .errors import (
 )
 from .geometry import Sphere, open_hemisphere_pole, rotation_between
 from .mesh import TriMesh
-from .spatial import MeshDistanceQuery, winding_numbers
+from .shapes import _join_rings
+from .spatial import WINDING_BLOCK_PAIRS, _point_triangle_distance_sq, winding_numbers
 
 __all__ = ["ClosedRegion", "close_with_spherical_patch", "signed_containment", "Containment"]
 
@@ -69,11 +78,18 @@ def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
 
     The apex is the loop's max-margin pole (:func:`open_hemisphere_pole`)
     when ``toward_pole`` is set, and its antipode otherwise, which fills the
-    complementary domain.  Rings of the loop's own azimuths at fractions of
-    each loop vertex's polar angle about the apex join it to the loop, so
-    the loop must be star-shaped about the apex.  Returns (new_vertices,
-    faces) where faces index first into the loop (0..k-1) and then into the
-    new vertices (k, k+1, ...).
+    complementary domain.  With theta the loop's largest polar angle about
+    the apex, ``n = ceil(theta * radius / target_edge)`` rings join the apex
+    to the loop: ring r (1 innermost) sits at the fraction t = r/n of each
+    loop point's polar angle, and ring n is the loop itself.  An interior
+    ring gets ``round(k * sin(t * theta) / sin(theta))`` vertices, at least
+    6 and at most the loop's k, so its edges stay near the loop's; its
+    vertex i sits at the fractional loop index i*k/m, with azimuth and polar
+    angle interpolated between the two loop points around it.  The loop must
+    be star-shaped about the apex.  Consecutive rings are joined by the
+    stable two-pointer merge of :func:`shapes._join_rings`.  Returns
+    (new_vertices, faces) where faces index first into the loop (0..k-1),
+    then the apex (k), then the interior rings from the innermost out.
     """
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
@@ -108,28 +124,37 @@ def _loop_patch(loop_pts: np.ndarray, sphere: Sphere, toward_pole: bool,
     n_rings = max(1, int(np.ceil(theta_max * sphere.radius / max(target_edge, 1e-12))))
     apex_world = sphere.center + sphere.radius * pole
 
-    # the apex is new vertex k; interior rings r = n_rings-1, ..., 1 follow it,
-    # k vertices each, at the fraction r / n_rings of each loop vertex's polar
-    # angle; ring n_rings is the loop itself (indices 0..k-1)
-    th = (np.arange(n_rings - 1, 0, -1) / n_rings)[:, None] * theta
-    pts_local = np.stack([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi),
-                          np.cos(th)], axis=-1).reshape(-1, 3)
+    t = np.arange(1, n_rings) / n_rings
+    counts = np.clip(np.rint(k * np.sin(t * theta_max) / np.sin(theta_max)),
+                     6, k).astype(np.int64)
+    # vertex i of a ring of m sits at loop index s = i*k/m = j + f
+    ring = np.repeat(np.arange(n_rings - 1), counts)
+    first = np.cumsum(counts) - counts
+    s = (np.arange(len(ring)) - first[ring]) * k / counts[ring]
+    j = s.astype(np.int64)
+    f = s - j
+    ph = phi[j] + f * dphi[j]
+    th = t[ring] * (theta[j] + f * (theta[(j + 1) % k] - theta[j]))
+    pts_local = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                                 np.cos(th)])
     new_pts = np.concatenate([apex_world[None, :],
                               (pts_local @ rot) * sphere.radius + sphere.center])
-
-    r = np.arange(1, n_rings + 1)
-    ring = np.where(r == n_rings, 0, k + 1 + (n_rings - 1 - r) * k)[:, None] + np.arange(k)
-    ring_next = np.roll(ring, -1, axis=1)
 
     # Winding rule: every ring edge is traversed forward by the fan/strip
     # beneath it and backward by the strip above it; the outermost (loop) ring
     # is traversed backward only, which pairs with the source surface's own
-    # forward traversal so the stitched mesh is consistently oriented.
-    fan = np.column_stack([np.full(k, k), ring_next[0], ring[0]])
-    a0, a1, b0, b1 = ring[:-1], ring_next[:-1], ring[1:], ring_next[1:]
-    strips = np.stack([np.stack([a0, b1, b0], axis=-1),
-                       np.stack([a0, a1, b1], axis=-1)], axis=2)
-    return new_pts, np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.int64)
+    # forward traversal so the stitched mesh is consistently oriented.  The
+    # joins are wound as a disk's seen from the apex, so their last two
+    # columns swap.
+    offsets = np.append(k + 1 + first, 0)
+    sizes = np.append(counts, k)
+    m0 = np.arange(sizes[0])
+    faces = [np.column_stack([np.full(sizes[0], k), offsets[0] + (m0 + 1) % sizes[0],
+                              offsets[0] + m0])]
+    for r in range(n_rings - 1):
+        faces.append(_join_rings(offsets[r], sizes[r],
+                                 offsets[r + 1], sizes[r + 1])[:, [0, 2, 1]])
+    return new_pts, np.concatenate(faces).astype(np.int64)
 
 
 def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere,
@@ -141,8 +166,12 @@ def close_with_spherical_patch(mesh: TriMesh, sphere: Sphere,
     the spherical domain around each loop's own hemisphere pole; ``side="far"``
     fills the complementary domain (single-loop meshes only, since the far
     domains of several loops overlap).  The patch is wound so the closed mesh
-    is consistently oriented, and patch triangles are refined until their
-    edges are no longer than the mean boundary edge of the source surface.
+    is consistently oriented.  Its rings about the apex are spaced by at most
+    the mean boundary edge of the source surface, and each holds about as
+    many vertices as that edge fits around it (at least 6, at most the
+    loop's count; see :func:`_loop_patch`), so patch edges stay near the
+    boundary edge.  A ring longer than the loop, past the equator, keeps the
+    loop's count, and its edges grow with its circumference.
 
     Raises
     ------
@@ -200,6 +229,15 @@ def signed_containment(region: ClosedRegion | TriMesh,
     number decides.  Winding parity is evaluated against the region's own
     volume sign, so the classification does not depend on whether the region
     was handed over wound outward or inward.
+
+    The on-boundary test needs no search structure.  If a face comes within
+    tol of a point p at q, then q lies within the longest edge at each
+    corner v of the face (q is in the triangle), so |p - v| <= tol +
+    reach(v), with reach(v) the longest edge at v.  One pass over
+    point-vertex distances keeps the vertices that meet this bound; the
+    exact point-triangle distance then runs on the faces around them, which
+    include every face within tol of the point.  The label is the one an
+    exact distance to every face would give.
     """
     mesh = region.mesh if isinstance(region, ClosedRegion) else region
     sign = 1.0
@@ -212,6 +250,51 @@ def signed_containment(region: ClosedRegion | TriMesh,
     tol = ON_BOUNDARY_TOL * mesh.bbox_diagonal()
     w = winding_numbers(points, mesh) * sign
     labels = np.where(w > 0.5, int(Containment.INSIDE), int(Containment.OUTSIDE))
-    d = MeshDistanceQuery(mesh).distance(points)
-    labels = np.where(d <= tol, int(Containment.ON_BOUNDARY), labels)
+    labels = np.where(_within(points, mesh, tol), int(Containment.ON_BOUNDARY), labels)
     return labels.astype(np.int64)
+
+
+def _within(points: np.ndarray, mesh: TriMesh, tol: float) -> np.ndarray:
+    """Whether each point lies within ``tol`` of a face of ``mesh``.
+
+    Only faces around a vertex v with |p - v| <= tol + reach(v) can (see
+    :func:`signed_containment`); the points go against the vertices in
+    blocks of at most ``WINDING_BLOCK_PAIRS`` pairs.
+    """
+    v, faces = mesh.vertices, mesh.faces
+    edges = mesh.directed_edges
+    edge_vec = v[edges[:, 0]] - v[edges[:, 1]]
+    edge_sq = np.einsum("ij,ij->i", edge_vec, edge_vec)
+    reach_sq = np.zeros(len(v))
+    np.maximum.at(reach_sq, edges[:, 0], edge_sq)
+    np.maximum.at(reach_sq, edges[:, 1], edge_sq)
+    # the relative slack keeps rounding in |p - v| from dropping a vertex
+    # that meets the bound exactly
+    bound = ((tol + np.sqrt(reach_sq)) * (1.0 + 1e-9)) ** 2
+    vx, vy, vz = np.ascontiguousarray(v.T)
+    hit_p, hit_v = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    step = max(1, WINDING_BLOCK_PAIRS // max(len(v), 1))
+    for s in range(0, len(points), step):
+        px, py, pz = points[s:s + step].T[:, :, None]
+        dx, dy, dz = vx - px, vy - py, vz - pz
+        hit = dx * dx + dy * dy + dz * dz <= bound
+        if hit.any():
+            i, j = np.nonzero(hit)
+            hit_p.append(s + i)
+            hit_v.append(j)
+    hit_p, hit_v = np.concatenate(hit_p), np.concatenate(hit_v)
+    near = np.zeros(len(points), dtype=bool)
+    if hit_p.size == 0:
+        return near
+    # the faces around each kept vertex, through a vertex-to-corner index
+    corner = np.argsort(faces.ravel(), kind="stable")
+    count = np.bincount(faces.ravel(), minlength=len(v))
+    n = count[hit_v]
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    face = corner[np.repeat((np.cumsum(count) - count)[hit_v], n) + rank] // 3
+    pair = np.unique(np.repeat(hit_p, n) * len(faces) + face)
+    p, f = np.divmod(pair, len(faces))
+    dsq = _point_triangle_distance_sq(points[p], v[faces[f, 0]], v[faces[f, 1]],
+                                      v[faces[f, 2]])
+    near[p[np.sqrt(dsq) <= tol]] = True
+    return near

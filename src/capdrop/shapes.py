@@ -150,9 +150,8 @@ def _graded_disk_topology(ring_r: np.ndarray, ring_z: np.ndarray, apex_z: float,
 
     Rings run from innermost to the boundary; the boundary ring always gets
     exactly ``n_angular`` vertices.  Winding is counterclockwise seen from
-    +z.  Rings of unequal counts are joined by an angular two-pointer sweep,
-    built in one array pass per ring pair: the sweep is a stable merge of
-    the two rings' angular keys.
+    +z.  Rings of unequal counts are joined by an angular two-pointer sweep
+    (:func:`_join_rings`).
     """
     r_bnd = float(ring_r[-1])
     counts = [max(6, int(round(n_angular * r / r_bnd))) for r in ring_r]
@@ -174,20 +173,30 @@ def _graded_disk_topology(ring_r: np.ndarray, ring_z: np.ndarray, apex_z: float,
     j = np.arange(n0)
     faces = [np.column_stack([np.zeros_like(j), o0 + j, o0 + (j + 1) % n0])]
     for k in range(len(counts) - 1):
-        oa, na = offsets[k], counts[k]
-        ob, nb = offsets[k + 1], counts[k + 1]
-        # the sweep advances ring a at key (ia+1)*nb and ring b at key
-        # (ib+1)*na, a first on a tie: a stable merge of the two key runs
-        keys = np.concatenate([np.arange(1, na + 1) * nb,
-                               np.arange(1, nb + 1) * na])
-        adv_a = np.argsort(keys, kind="stable") < na
-        ia = np.cumsum(adv_a) - adv_a  # a-steps taken before this one
-        ib = np.cumsum(~adv_a) - ~adv_a
-        faces.append(np.column_stack([
-            oa + ia % na, ob + ib % nb,
-            np.where(adv_a, oa + (ia + 1) % na, ob + (ib + 1) % nb)]))
+        faces.append(_join_rings(offsets[k], counts[k],
+                                 offsets[k + 1], counts[k + 1]))
     return TriMesh(np.concatenate(verts, axis=0), np.concatenate(faces),
                    validate=False)
+
+
+def _join_rings(oa: int, na: int, ob: int, nb: int) -> np.ndarray:
+    """The ``na + nb`` triangles between ring a (``na`` vertices from index
+    ``oa``) and ring b (``nb`` from ``ob``), whose vertex i sits at the
+    fraction i/n of its ring's turn; counterclockwise seen from +z when a is
+    the inner ring and the rings turn counterclockwise.
+
+    The two-pointer sweep advances ring a at key (ia+1)*nb and ring b at key
+    (ib+1)*na, a first on a tie: a stable merge of the two key runs, built
+    in one array pass.
+    """
+    keys = np.concatenate([np.arange(1, na + 1) * nb,
+                           np.arange(1, nb + 1) * na])
+    adv_a = np.argsort(keys, kind="stable") < na
+    ia = np.cumsum(adv_a) - adv_a  # a-steps taken before this one
+    ib = np.cumsum(~adv_a) - ~adv_a
+    return np.column_stack([
+        oa + ia % na, ob + ib % nb,
+        np.where(adv_a, oa + (ia + 1) % na, ob + (ib + 1) % nb)])
 
 
 def flat_disk(radius: float = 1.0, n_angular: int = 64, n_rings: int = 8,

@@ -3,8 +3,12 @@
 These kernels serve the containment tests.  The winding number takes the
 points in blocks of at most ``WINDING_BLOCK_PAIRS`` point-face pairs (one
 point per block when the mesh has more faces), so its memory does not grow
-with the number of points.  scipy's k-d tree is imported when a
-``MeshDistanceQuery`` is built, so importing the package does not load it.
+with the number of points.  Its block arithmetic runs in buffers allocated
+once per call, one ufunc at a time in the order of the formula's expression
+form, so it is bit-identical to that form and allocates nothing per block.
+``MeshDistanceQuery`` gives exact point-to-mesh distances; containment's
+on-boundary test does not build it.  scipy's k-d tree is imported when one
+is built, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -33,28 +37,57 @@ def winding_numbers(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
 
     The face corners are gathered once, one ``(3, F)`` array per corner, and
     the points are taken in blocks of ``max(1, WINDING_BLOCK_PAIRS // F)``,
-    so memory does not grow with the number of points.
+    so memory does not grow with the number of points.  Each block's
+    arithmetic runs in buffers allocated once, one ufunc at a time in the
+    order the formula's expression form evaluates, so the result is the
+    same to the bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     # corner, coordinate, face: each coordinate row of a corner is contiguous
     # (the strided rows of a plain gather made the kernel about 1.5x slower)
-    ta, tb, tc = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
+    corners = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
     out = np.empty(len(points))
     step = max(1, WINDING_BLOCK_PAIRS // max(mesh.n_faces, 1))
+    shape = (min(step, len(points)), mesh.n_faces)
+    # corner minus point (corner, coordinate, point, face), then the corner
+    # distances, the numerator, the denominator and two temporaries
+    rel = np.empty((3, 3) + shape)
+    buffers = np.empty((7,) + shape)
     for s in range(0, len(points), step):
-        q = points[s:s + step].T[:, :, None]
-        ax, ay, az = ta[:, None, :] - q
-        bx, by, bz = tb[:, None, :] - q
-        cx, cy, cz = tc[:, None, :] - q
-        la = np.sqrt(ax * ax + ay * ay + az * az)
-        lb = np.sqrt(bx * bx + by * by + bz * bz)
-        lc = np.sqrt(cx * cx + cy * cy + cz * cz)
-        num = (ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz)
-               + az * (bx * cy - by * cx))
-        den = (la * lb * lc + (ax * bx + ay * by + az * bz) * lc
-               + (bx * cx + by * cy + bz * cz) * la
-               + (ax * cx + ay * cy + az * cz) * lb)
-        out[s:s + step] = np.arctan2(num, den).sum(axis=1) / (2.0 * np.pi)
+        m = min(step, len(points) - s)
+        np.subtract(corners[:, :, None, :], points[s:s + m].T[None, :, :, None],
+                    out=rel[:, :, :m])
+        a, b, c = rel[:, :, :m]
+        la, lb, lc, num, den, t, u = buffers[:, :m]
+        for x, length in ((a, la), (b, lb), (c, lc)):
+            np.sqrt(_dot(x, x, length, u), out=length)
+        # num = a . (b x c), one component of the sum at a time
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            term = num if i == 0 else t
+            np.multiply(b[j], c[k], out=term)
+            np.multiply(b[k], c[j], out=u)
+            np.subtract(term, u, out=term)
+            np.multiply(a[i], term, out=term)
+            if i:
+                np.add(num, t, out=num)
+        # den = la lb lc + (a . b) lc + (b . c) la + (a . c) lb
+        np.multiply(la, lb, out=den)
+        np.multiply(den, lc, out=den)
+        for x, y, length in ((a, b, lc), (b, c, la), (a, c, lb)):
+            np.multiply(_dot(x, y, t, u), length, out=t)
+            np.add(den, t, out=den)
+        np.arctan2(num, den, out=t)
+        out[s:s + m] = t.sum(axis=1) / (2.0 * np.pi)
+    return out
+
+
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """x[0] y[0] + x[1] y[1] + x[2] y[2] into ``out``, summed left to right."""
+    np.multiply(x[0], y[0], out=out)
+    for i in (1, 2):
+        np.multiply(x[i], y[i], out=tmp)
+        np.add(out, tmp, out=out)
     return out
 
 

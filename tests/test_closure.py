@@ -5,14 +5,18 @@ import pytest
 
 from capdrop.analytic import interior_drop_cap
 from capdrop.closure import (
-    Containment, _loop_patch, close_with_spherical_patch, signed_containment,
+    ON_BOUNDARY_TOL, Containment, _loop_patch, close_with_spherical_patch,
+    signed_containment,
 )
 from capdrop.errors import (
     AlreadyClosedError, BoundaryOffSphereError, LoopsNotInHemisphereError,
     SelfIntersectingPatchError,
 )
 from capdrop.geometry import open_hemisphere_pole, rotation_between
+from capdrop.mesh import TriMesh
 from capdrop.shapes import flat_disk, icosphere, spherical_cap_mesh
+from capdrop.spatial import _point_triangle_distance_sq
+from test_spatial import winding_reference
 
 
 def cap_partition_surfaces(unit_sphere):
@@ -128,9 +132,17 @@ def test_small_caps_close_about_any_axis(unit_sphere, polar_angle):
                                                     rel=1e-12)
 
 
+def _ring_counts(k, n_rings, theta_max):
+    """Vertex counts of the interior rings, innermost first: each follows
+    its circumference, at least 6 and at most k."""
+    return [min(k, max(6, int(np.rint(k * np.sin(r / n_rings * theta_max)
+                                      / np.sin(theta_max)))))
+            for r in range(1, n_rings)]
+
+
 def _loop_patch_reference(loop_pts, sphere, toward_pole, target_edge):
-    """``_loop_patch``'s build as a double loop over rings and loop vertices,
-    for well-formed loops (no guards)."""
+    """``_loop_patch``'s graded layout built ring by ring, with a two-pointer
+    sweep between consecutive rings, for well-formed loops (no guards)."""
     k = len(loop_pts)
     q = (loop_pts - sphere.center) / sphere.radius
     q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -141,29 +153,39 @@ def _loop_patch_reference(loop_pts, sphere, toward_pole, target_edge):
     local = q @ rot.T
     theta = np.arccos(np.clip(local[:, 2], -1.0, 1.0))
     phi = np.arctan2(local[:, 1], local[:, 0])
-    n_rings = max(1, int(np.ceil(float(theta.max()) * sphere.radius
+    dphi = (np.roll(phi, -1) - phi + np.pi) % (2.0 * np.pi) - np.pi
+    theta_max = float(theta.max())
+    n_rings = max(1, int(np.ceil(theta_max * sphere.radius
                                  / max(target_edge, 1e-12))))
-
-    def ring_index(r, j):
-        if r == n_rings:
-            return j % k
-        return k + 1 + (n_rings - 1 - r) * k + (j % k)
+    counts = _ring_counts(k, n_rings, theta_max)
 
     new_pts = [sphere.center + sphere.radius * pole]
-    for r in range(n_rings - 1, 0, -1):
-        th = theta * (r / n_rings)
+    rings = []  # (first index, count), innermost first, the loop last
+    for r, m in enumerate(counts, start=1):
+        rings.append((k + len(new_pts), m))
+        # vertex i at the fractional loop index s = i*k/m = j + f
+        s = np.arange(m) * k / m
+        j = s.astype(np.int64)
+        f = s - j
+        ph = phi[j] + f * dphi[j]
+        th = (r / n_rings) * (theta[j] + f * (theta[(j + 1) % k] - theta[j]))
         pts_local = np.column_stack([
-            np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)])
+            np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
         new_pts.extend((pts_local @ rot) * sphere.radius + sphere.center)
-    faces = []
-    for j in range(k):
-        faces.append([k, ring_index(1, j + 1), ring_index(1, j)])
-    for r in range(1, n_rings):
-        for j in range(k):
-            a0, a1 = ring_index(r, j), ring_index(r, j + 1)
-            b0, b1 = ring_index(r + 1, j), ring_index(r + 1, j + 1)
-            faces.append([a0, b1, b0])
-            faces.append([a0, a1, b1])
+    rings.append((0, k))
+
+    o0, m0 = rings[0]
+    faces = [[k, o0 + (i + 1) % m0, o0 + i] for i in range(m0)]
+    for (oa, na), (ob, nb) in zip(rings[:-1], rings[1:]):
+        ia = ib = 0
+        while ia < na or ib < nb:
+            a_cur, b_cur = oa + ia % na, ob + ib % nb
+            if ib < nb and (ia == na or (ia + 1) * nb > (ib + 1) * na):
+                faces.append([a_cur, ob + (ib + 1) % nb, b_cur])
+                ib += 1
+            else:
+                faces.append([a_cur, oa + (ia + 1) % na, b_cur])
+                ia += 1
     return np.asarray(new_pts), np.asarray(faces, dtype=np.int64)
 
 
@@ -177,9 +199,40 @@ def test_loop_patch_matches_double_loop(unit_sphere, target_edge, toward_pole):
     if target_edge == 10.0:
         assert len(got[0]) == 1  # n_rings == 1: the apex only
     else:
-        assert len(got[0]) > 10 * len(loop)
+        # the loop sits at polar angle 50 deg about the near apex and
+        # 130 deg about the far one
+        theta_max = math.radians(50.0 if toward_pole else 130.0)
+        n_rings = math.ceil(theta_max / target_edge)
+        counts = _ring_counts(len(loop), n_rings, theta_max)
+        assert min(counts) == 6 and max(counts) <= len(loop)
+        assert len(got[0]) == 1 + sum(counts)
+        assert len(got[1]) == 2 * sum(counts) + len(loop)
     assert np.array_equal(got[0], ref[0])
     assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("side, face_share", [("near", 0.6), ("far", 0.85)])
+def test_patch_at_the_loops_resolution(unit_sphere, side, face_share):
+    # k (2n - 1) faces is the ungraded patch, every ring with all k loop
+    # vertices.  Past the equator the far patch's rings are longer than the
+    # loop and keep k vertices, so it sheds fewer faces than the near one.
+    _, free = cap_partition_surfaces(unit_sphere)
+    region = close_with_spherical_patch(free, unit_sphere, side=side)
+    TriMesh(region.mesh.vertices, region.mesh.faces, validate=True)
+    assert region.mesh.is_closed
+
+    loop = free.vertices[free.boundary_loops()[0]]
+    k = len(loop)
+    edge = np.linalg.norm(loop - np.roll(loop, 1, axis=0), axis=1).mean()
+    theta_max = math.radians(50.0 if side == "near" else 130.0)
+    n_rings = math.ceil(theta_max / edge)
+    patch = region.mesh.faces[region.patch_face_mask]
+    assert len(patch) <= face_share * k * (2 * n_rings - 1)
+
+    v = region.mesh.vertices
+    ends = np.concatenate([patch[:, [0, 1]], patch[:, [1, 2]], patch[:, [2, 0]]])
+    lengths = np.linalg.norm(v[ends[:, 0]] - v[ends[:, 1]], axis=1) / edge
+    assert 0.5 <= lengths.min() and lengths.max() <= 1.8
 
 
 def test_signed_containment_of_no_points(unit_sphere):
@@ -217,3 +270,48 @@ def test_signed_containment_winding_independent():
     b = signed_containment(m.flipped(), pts)
     assert np.array_equal(a, b)
     assert a[0] == Containment.INSIDE and a[1] == Containment.OUTSIDE
+
+
+def _containment_reference(mesh, points):
+    """``signed_containment`` from a per-face winding loop and the exact
+    distance to every face."""
+    sign = 1.0 if mesh.enclosed_volume() >= 0 else -1.0
+    labels = np.where(sign * winding_reference(points, mesh) > 0.5,
+                      int(Containment.INSIDE), int(Containment.OUTSIDE))
+    a, b, c = (mesh.vertices[mesh.faces[:, i]] for i in range(3))
+    dist = np.array([np.sqrt(_point_triangle_distance_sq(
+        np.repeat(p[None, :], mesh.n_faces, axis=0), a, b, c).min())
+        for p in points])
+    tol = ON_BOUNDARY_TOL * mesh.bbox_diagonal()
+    return np.where(dist <= tol, int(Containment.ON_BOUNDARY), labels)
+
+
+@pytest.mark.parametrize("surface", ["closed_drop", "icosphere2"])
+def test_signed_containment_matches_every_face(unit_sphere, rng, surface):
+    if surface == "closed_drop":
+        _, free = cap_partition_surfaces(unit_sphere)
+        mesh = close_with_spherical_patch(free, unit_sphere, side="near").mesh
+    else:
+        mesh = icosphere(2)
+    v, f = mesh.vertices, mesh.faces
+    tol = ON_BOUNDARY_TOL * mesh.bbox_diagonal()
+    pick = rng.choice(mesh.n_faces, size=12, replace=False)
+    a, b, c = v[f[pick, 0]], v[f[pick, 1]], v[f[pick, 2]]
+    centroid = (a + b + c) / 3.0
+    normal = mesh.face_normals[pick]
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    points = np.concatenate([
+        rng.uniform(lo - 0.2, hi + 0.2, size=(40, 3)),
+        a,                              # on a vertex
+        0.5 * (a + b),                  # on an edge midpoint
+        centroid,                       # on a face centroid
+        centroid + 0.5 * tol * normal,  # on the boundary, off the face
+        centroid - 0.5 * tol * normal,
+        centroid + 2.0 * tol * normal,  # just off the boundary
+        centroid - 2.0 * tol * normal,
+    ])
+    got = signed_containment(mesh, points)
+    assert np.array_equal(got, _containment_reference(mesh, points))
+    on = got == Containment.ON_BOUNDARY
+    assert on[40:40 + 60].all() and not on[40 + 60:].any()
+    assert set(got[40 + 60:]) == {Containment.INSIDE, Containment.OUTSIDE}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -118,3 +119,17 @@ def test_graded_disk_faces_match_the_sweep(n_angular):
             theta = polar * np.arange(1, n_rings + 1) / n_rings
             assert np.array_equal(
                 cap.faces, _graded_disk_faces_reference(np.sin(theta), n_angular))
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: flat_disk(1.0, 376, 66), "cc01feea2508e66a"),
+    (lambda: flat_disk(1.0, 112, 18), "1cec84406a47856a"),
+    (lambda: spherical_cap_mesh(Sphere((0.0, 0.0, 0.0), 1.0), (0.0, 0.0, 1.0),
+                                0.9, 64), "805d799a01fe1401"),
+])
+def test_graded_disk_faces_are_pinned(build, digest):
+    # the pinned solves start from these meshes, and the closure patch
+    # shares their ring join, so a change made for the patch must not move
+    # them
+    faces = np.ascontiguousarray(build().faces, dtype="<i8")
+    assert hashlib.sha256(faces.tobytes()).hexdigest()[:16] == digest

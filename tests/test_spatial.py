@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capdrop import spatial
 from capdrop.analytic import interior_drop_cap
 from capdrop.closure import close_with_spherical_patch
 from capdrop.shapes import flat_disk, icosphere
@@ -25,6 +26,47 @@ def winding_reference(points, mesh):
                + np.einsum("ij,ij->i", a, c) * lb)
         total += np.arctan2(num, den)
     return total / (2.0 * np.pi)
+
+
+def winding_expression_form(points, mesh, block_pairs):
+    """The winding kernel written as one numpy expression per quantity."""
+    ta, tb, tc = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
+    out = np.empty(len(points))
+    step = max(1, block_pairs // max(mesh.n_faces, 1))
+    for s in range(0, len(points), step):
+        q = points[s:s + step].T[:, :, None]
+        ax, ay, az = ta[:, None, :] - q
+        bx, by, bz = tb[:, None, :] - q
+        cx, cy, cz = tc[:, None, :] - q
+        la = np.sqrt(ax * ax + ay * ay + az * az)
+        lb = np.sqrt(bx * bx + by * by + bz * bz)
+        lc = np.sqrt(cx * cx + cy * cy + cz * cz)
+        num = (ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz)
+               + az * (bx * cy - by * cx))
+        den = (la * lb * lc + (ax * bx + ay * by + az * bz) * lc
+               + (bx * cx + by * cy + bz * cz) * la
+               + (ax * cx + ay * cy + az * cz) * lb)
+        out[s:s + step] = np.arctan2(num, den).sum(axis=1) / (2.0 * np.pi)
+    return out
+
+
+@pytest.mark.parametrize("block_pairs", [1, WINDING_BLOCK_PAIRS])
+def test_winding_numbers_equal_the_expression_form(rng, unit_sphere, monkeypatch,
+                                                   block_pairs):
+    # bit for bit: make_wetting_operator's side test calls this kernel, so
+    # the solver's iterates depend on its rounding.  A block pair budget of
+    # 1 takes one point per block; the default takes many, and the last
+    # block is partial
+    monkeypatch.setattr(spatial, "WINDING_BLOCK_PAIRS", block_pairs)
+    drop = interior_drop_cap(1.0, math.radians(50.0), math.radians(70.0))
+    free = drop.free_surface_mesh(n_angular=24, n_rings=12)
+    for mesh in (icosphere(2), free,
+                 close_with_spherical_patch(free, unit_sphere).mesh):
+        n = 7 if block_pairs == 1 else 3 * WINDING_BLOCK_PAIRS // mesh.n_faces + 5
+        pts = rng.uniform(-1.2, 1.2, size=(n, 3))
+        pts[0] = mesh.vertices[0]  # a corner at the point: 0/0 in arctan2
+        assert np.array_equal(winding_numbers(pts, mesh),
+                              winding_expression_form(pts, mesh, block_pairs))
 
 
 def test_winding_numbers_ball(rng):
